@@ -16,15 +16,11 @@
 // per simulated event against a 3-node reference row — the per-event cost
 // of the control plane must stay near-flat as N and K grow.
 //
-// Part L is the LP micro-differential: the partitioning solve posed at the
-// grid's node counts through both simplex backends, reporting dense vs
-// revised agreement (decision-level, deterministic) and per-solve wall.
-//
 // Usage: bench_scaling [key=value ...] [--quick] [--threads=N]
 //        (intervals=80 seed=1 part=ab threads=0)
 //
 // The default part stays "ab" so the committed BENCH_scaling.json baseline
-// keeps gating the legacy sweep; part=cl emits BENCH_scaling_cl.json.
+// keeps gating the legacy sweep; part=c emits BENCH_scaling_c.json.
 
 #include <algorithm>
 #include <chrono>
@@ -38,8 +34,6 @@
 #include "common/check.h"
 #include "common/config.h"
 #include "common/stats.h"
-#include "core/optimizer.h"
-#include "la/simplex.h"
 #include "net/network.h"
 
 namespace memgoal::bench {
@@ -108,6 +102,11 @@ int Main(int argc, char** argv) {
       static_cast<int>(args.GetInt("intervals", quick ? 24 : 80));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const std::string part = args.GetString("part", "ab");
+  if (part.empty() || part.find_first_not_of("abc") != std::string::npos) {
+    std::fprintf(stderr, "part=%s: expected letters from {a, b, c}\n",
+                 part.c_str());
+    return 1;
+  }
   // part=c only: probe a single nodes x classes cell instead of the grid.
   const std::string grid_only = args.GetString("grid", "");
   // Non-default part selections report under their own name so the grid
@@ -285,78 +284,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (part.find('l') != std::string::npos) {
-    std::printf("\n# Part L: LP micro-differential (dense vs revised)\n");
-    std::printf(
-        "n,trials,mode_agree,max_obj_reldiff,dense_ms_per_solve,"
-        "revised_ms_per_solve,speedup\n");
-    const std::vector<size_t> sizes = quick
-                                          ? std::vector<size_t>{16u, 64u}
-                                          : std::vector<size_t>{16u, 64u, 256u};
-    constexpr int kTrials = 10;
-    for (size_t n : sizes) {
-      // The production LP shape: negative goal-plane gradient, positive
-      // no-goal cost, 2 MB per-node bounds, goals spread across the mode
-      // ladder (reachable, relaxable, unreachable).
-      std::vector<core::OptimizerInput> instances;
-      common::Rng rng(common::DeriveStreamSeed(seed, kAuxStreamBase + 7 + n));
-      for (int t = 0; t < kTrials; ++t) {
-        core::OptimizerInput input;
-        input.planes.grad_k.resize(n);
-        input.planes.grad_0.resize(n);
-        input.upper_bounds.assign(n, 2.0 * 1024 * 1024);
-        for (size_t i = 0; i < n; ++i) {
-          input.planes.grad_k[i] = -rng.Uniform(1e-7, 5e-6);
-          input.planes.grad_0[i] = rng.Uniform(1e-8, 1e-6);
-        }
-        input.planes.intercept_k = rng.Uniform(5.0, 30.0);
-        input.planes.intercept_0 = rng.Uniform(1.0, 5.0);
-        input.goal_rt = rng.Uniform(0.5, 25.0);
-        instances.push_back(std::move(input));
-      }
-      int agree = 0;
-      double max_reldiff = 0.0;
-      for (core::OptimizerInput& input : instances) {
-        input.lp_backend = la::LpBackend::kDense;
-        const core::OptimizerOutput dense = core::SolvePartitioning(input);
-        input.lp_backend = la::LpBackend::kRevised;
-        const core::OptimizerOutput revised = core::SolvePartitioning(input);
-        bool same = dense.mode == revised.mode &&
-                    dense.relaxed_rung == revised.relaxed_rung;
-        for (size_t i = 0; same && i < n; ++i) {
-          same = std::floor(dense.allocation[i] / 4096.0) ==
-                 std::floor(revised.allocation[i] / 4096.0);
-        }
-        agree += same ? 1 : 0;
-        const double scale = std::max(1.0, std::fabs(dense.predicted_rt_0));
-        max_reldiff = std::max(
-            max_reldiff,
-            std::fabs(dense.predicted_rt_0 - revised.predicted_rt_0) / scale);
-      }
-      const auto solve_all = [&](la::LpBackend backend) {
-        for (core::OptimizerInput& input : instances) {
-          input.lp_backend = backend;
-          const core::OptimizerOutput out = core::SolvePartitioning(input);
-          if (out.allocation.empty()) std::abort();  // keep the work live
-        }
-      };
-      const double dense_s = MinOfRepsSeconds(
-          quick ? 2 : 3, [&] { solve_all(la::LpBackend::kDense); });
-      const double revised_s = MinOfRepsSeconds(
-          quick ? 2 : 3, [&] { solve_all(la::LpBackend::kRevised); });
-      const double dense_ms = 1e3 * dense_s / kTrials;
-      const double revised_ms = 1e3 * revised_s / kTrials;
-      std::printf("%zu,%d,%d,%.3g,%.4f,%.4f,%.1fx\n", n, kTrials, agree,
-                  max_reldiff, dense_ms, revised_ms,
-                  revised_ms > 0.0 ? dense_ms / revised_ms : 0.0);
-      std::fflush(stdout);
-      char metric[64];
-      std::snprintf(metric, sizeof(metric), "lp_mode_agree_n%zu", n);
-      reporter.AddMetric(metric, agree);
-      std::snprintf(metric, sizeof(metric), "lp_obj_reldiff_n%zu", n);
-      reporter.AddMetric(metric, max_reldiff);
-    }
-  }
   reporter.Finish();
   return 0;
 }

@@ -737,7 +737,6 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
       variance_input.mean_intercept = planes->intercept_k;
       variance_input.goal_rt = goal;
       variance_input.upper_bounds = input.upper_bounds;
-      variance_input.lp_backend = config.lp_backend;
       VarianceOptimizerOutput output =
           SolveVariancePartitioning(variance_input);
       target = std::move(output.allocation);
@@ -757,7 +756,6 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
       }
     } else {
       input.planes = std::move(*planes);
-      input.lp_backend = config.lp_backend;
       // Warm-start from the previous interval's basis when one survived
       // (same topology, same epoch). The solver validates it against the
       // re-posed program and silently cold-starts on a mismatch.

@@ -1,7 +1,9 @@
 #ifndef MEMGOAL_CORE_OPTIMIZER_H_
 #define MEMGOAL_CORE_OPTIMIZER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "core/measure.h"
 #include "la/matrix.h"
@@ -18,12 +20,10 @@ struct OptimizerInput {
   /// Per-node upper bounds U_i = SIZE_i - sum_{l != k} LM_l,i (equation 6),
   /// in bytes.
   la::Vector upper_bounds;
-  /// Which simplex backend solves the LPs.
-  la::LpBackend lp_backend = la::LpBackend::kRevised;
-  /// Optional warm-start basis from the previous control interval's solve
-  /// (revised backend only). Applied to the first (equality) solve; the
-  /// fallback chain re-poses the LP, so later rungs start cold. The solver
-  /// validates the basis and silently cold-starts when it no longer fits.
+  /// Optional warm-start basis from the previous control interval's solve.
+  /// Applied to the first (equality) solve; the fallback chain re-poses the
+  /// LP, so later rungs start cold. The solver validates the basis and
+  /// silently cold-starts when it no longer fits.
   const la::SimplexBasis* warm = nullptr;
 };
 
@@ -107,6 +107,52 @@ inline void CountLpOutcome(la::SimplexStatus status, LpOutcomeStats* stats) {
   }
 }
 
+/// Where the fallback chain stopped.
+struct GoalLadderResult {
+  /// The winning rung's solve (status kOptimal), else the last failed one.
+  la::SimplexResult lp;
+  /// kBestEffort when no rung was optimal.
+  OptimizerMode mode = OptimizerMode::kBestEffort;
+  /// Winning index into kGoalRelaxationLadder (mode == kGoalRelaxed only);
+  /// -1 otherwise.
+  int relaxed_rung = -1;
+  /// The relaxed goal of that rung (mode == kGoalRelaxed only).
+  double relaxed_goal_rt = 0.0;
+};
+
+/// The fallback chain both optimizers walk: the goal as an equality, then
+/// as an inequality, then each relaxed goal of kGoalRelaxationLadder as an
+/// inequality; the first optimal rung wins. `solve(equality, goal_rt)`
+/// solves one rung (equality is true on the first rung only). Every
+/// outcome and relaxed retry is counted into `stats`.
+template <typename Solve>
+GoalLadderResult WalkGoalLadder(double goal_rt, Solve&& solve,
+                                LpOutcomeStats* stats) {
+  GoalLadderResult result;
+  for (const bool equality : {true, false}) {
+    result.lp = solve(equality, goal_rt);
+    CountLpOutcome(result.lp.status, stats);
+    if (result.lp.status == la::SimplexStatus::kOptimal) {
+      result.mode = equality ? OptimizerMode::kGoalEquality
+                             : OptimizerMode::kGoalInequality;
+      return result;
+    }
+  }
+  for (size_t rung = 0; rung < std::size(kGoalRelaxationLadder); ++rung) {
+    ++stats->relaxed_retries;
+    const double relaxed = goal_rt * (1.0 + kGoalRelaxationLadder[rung]);
+    result.lp = solve(false, relaxed);
+    CountLpOutcome(result.lp.status, stats);
+    if (result.lp.status == la::SimplexStatus::kOptimal) {
+      result.mode = OptimizerMode::kGoalRelaxed;
+      result.relaxed_rung = static_cast<int>(rung);
+      result.relaxed_goal_rt = relaxed;
+      return result;
+    }
+  }
+  return result;
+}
+
 struct OptimizerOutput {
   OptimizerMode mode = OptimizerMode::kBestEffort;
   /// New per-node dedicated buffer sizes (bytes).
@@ -121,17 +167,38 @@ struct OptimizerOutput {
   int relaxed_rung = -1;
   /// Simplex outcome counts of this solve's fallback chain.
   LpOutcomeStats lp_stats;
-  /// Final basis of the solve that produced `allocation` (revised backend
-  /// only; empty otherwise). Feed back as `OptimizerInput::warm` next
-  /// interval.
+  /// Final basis of the solve that produced `allocation` (empty for
+  /// best effort). Feed back as `OptimizerInput::warm` next interval.
   la::SimplexBasis basis;
 };
+
+/// Poses one rung of §4's LP: minimize the no-goal plane subject to the
+/// goal plane meeting `goal_rt` (as an equality, or as `<=`) and the
+/// per-node capacity bounds.
+la::SimplexSolver PosePartitioningLp(const OptimizerInput& input,
+                                     bool equality, double goal_rt);
+
+/// Snaps each LP value within relative tolerance 1e-9 of a bound exactly
+/// onto it, then clamps it into [0, upper_bounds[i]], so sub-tolerance
+/// solver arithmetic never moves the controller's page rounding.
+void SnapToBounds(const la::Vector& upper_bounds, la::Vector* allocation);
+
+/// Solves one posed rung of the fallback chain, warm-started from `warm`
+/// when it is non-null.
+using RungSolver = la::SimplexResult (*)(const la::SimplexSolver& rung,
+                                         const la::SimplexBasis* warm);
 
 /// Solves for the new partitioning of one goal class: minimize the
 /// predicted no-goal response time subject to the goal class's hyperplane
 /// meeting its goal and the per-node capacity bounds (§4's LP), with the
 /// documented fallbacks when that LP is infeasible.
 OptimizerOutput SolvePartitioning(const OptimizerInput& input);
+
+/// SolvePartitioning with every rung solved by `solve_rung` instead of
+/// SimplexSolver::Solve; the fallback chain and the post-processing are
+/// shared, so a differential test can run them on another LP solver.
+OptimizerOutput SolvePartitioningWith(const OptimizerInput& input,
+                                      RungSolver solve_rung);
 
 }  // namespace memgoal::core
 

@@ -1,23 +1,18 @@
 #include "core/scenario.h"
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/config.h"
 #include "sim/chaos_schedule.h"
-#include "sim/event_queue.h"
 
 namespace memgoal::core {
 namespace {
-
-cache::PolicyKind ParsePolicy(const std::string& name) {
-  if (name == "lru") return cache::PolicyKind::kLru;
-  if (name == "lru-k") return cache::PolicyKind::kLruK;
-  if (name == "fifo") return cache::PolicyKind::kFifo;
-  return cache::PolicyKind::kCostBased;
-}
 
 // Enum-valued scenario keys fail the way Config::RejectUnknownFlags fails
 // for unknown flags: name the accepted values and, on a near-miss, suggest
@@ -37,14 +32,37 @@ std::string BadEnumValue(const std::string& key, const std::string& value,
   return message;
 }
 
+std::string BadPageRange(const std::string& key, const std::string& value,
+                         PageId db_pages) {
+  return key + " must be begin:end with begin < end <= db_pages (" +
+         std::to_string(db_pages) + "), got '" + value + "'";
+}
+
+// Parses all of `text` as a decimal unsigned integer: no sign, no
+// whitespace, no trailing characters, no overflow.
+bool ParseUnsigned(std::string_view text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
-bool ParsePageRange(const std::string& text, workload::PageRange* out) {
+bool ParsePageRange(const std::string& text, PageId db_pages,
+                    workload::PageRange* out) {
   const size_t colon = text.find(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  out->begin = static_cast<PageId>(std::stoul(text.substr(0, colon)));
-  out->end = static_cast<PageId>(std::stoul(text.substr(colon + 1)));
-  return out->begin < out->end;
+  if (colon == std::string::npos) return false;
+  const std::string_view view(text);
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  if (!ParseUnsigned(view.substr(0, colon), &begin) ||
+      !ParseUnsigned(view.substr(colon + 1), &end) || begin >= end ||
+      end > db_pages) {
+    return false;
+  }
+  out->begin = static_cast<PageId>(begin);
+  out->end = static_cast<PageId>(end);
+  return true;
 }
 
 std::optional<Scenario> LoadScenario(common::Config& config,
@@ -61,27 +79,31 @@ std::optional<Scenario> LoadScenario(common::Config& config,
   system_config.observation_interval_ms =
       config.GetDouble("interval_ms", 5000.0);
   system_config.seed = static_cast<uint64_t>(config.GetInt("seed", 1));
-  system_config.policy = ParsePolicy(config.GetString("policy", "cost-based"));
-  system_config.objective =
-      config.GetString("objective", "nogoal") == "variance"
-          ? PartitioningObjective::kMinimizeNodeVariance
-          : PartitioningObjective::kMinimizeNoGoalRt;
-  const std::string queue = config.GetString("queue", "calendar");
-  if (queue == "heap") {
-    system_config.queue_backend = sim::QueueBackend::kLegacyHeap;
-  } else if (queue == "calendar") {
-    system_config.queue_backend = sim::QueueBackend::kCalendar;
+  const std::string policy = config.GetString("policy", "cost-based");
+  if (policy == "cost-based") {
+    system_config.policy = cache::PolicyKind::kCostBased;
+  } else if (policy == "lru") {
+    system_config.policy = cache::PolicyKind::kLru;
+  } else if (policy == "lru-k") {
+    system_config.policy = cache::PolicyKind::kLruK;
+  } else if (policy == "fifo") {
+    system_config.policy = cache::PolicyKind::kFifo;
   } else {
-    if (error) *error = BadEnumValue("queue", queue, {"calendar", "heap"});
+    if (error) {
+      *error = BadEnumValue("policy", policy,
+                            {"cost-based", "lru", "lru-k", "fifo"});
+    }
     return std::nullopt;
   }
-  const std::string lp = config.GetString("lp", "revised");
-  if (lp == "revised") {
-    system_config.lp_backend = la::LpBackend::kRevised;
-  } else if (lp == "dense") {
-    system_config.lp_backend = la::LpBackend::kDense;
+  const std::string objective = config.GetString("objective", "nogoal");
+  if (objective == "nogoal") {
+    system_config.objective = PartitioningObjective::kMinimizeNoGoalRt;
+  } else if (objective == "variance") {
+    system_config.objective = PartitioningObjective::kMinimizeNodeVariance;
   } else {
-    if (error) *error = BadEnumValue("lp", lp, {"revised", "dense"});
+    if (error) {
+      *error = BadEnumValue("objective", objective, {"nogoal", "variance"});
+    }
     return std::nullopt;
   }
   system_config.hint_fanout_budget =
@@ -152,9 +174,12 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     std::stringstream nodes(partition_nodes);
     std::string item;
     while (std::getline(nodes, item, ',')) {
-      const unsigned long node = std::stoul(item);
-      if (node >= system_config.num_nodes) {
-        if (error) *error = "partition_nodes entry " + item + " out of range";
+      uint64_t node = 0;
+      if (!ParseUnsigned(item, &node) || node >= system_config.num_nodes) {
+        if (error) {
+          *error = "partition_nodes entry '" + item + "' is not a node in 0.." +
+                   std::to_string(system_config.num_nodes - 1);
+        }
         return std::nullopt;
       }
       groups[node] = 1;
@@ -251,9 +276,13 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     const std::string default_range =
         std::to_string(c * slice) + ":" + std::to_string((c + 1) * slice);
     workload::PageRange range;
-    if (!ParsePageRange(config.GetString(prefix + "pages", default_range),
-                        &range)) {
-      if (error) *error = "bad " + prefix + "pages";
+    const std::string range_text =
+        config.GetString(prefix + "pages", default_range);
+    if (!ParsePageRange(range_text, system_config.db_pages, &range)) {
+      if (error) {
+        *error = BadPageRange(prefix + "pages", range_text,
+                              system_config.db_pages);
+      }
       return std::nullopt;
     }
     spec.pages = range;
@@ -269,8 +298,11 @@ std::optional<Scenario> LoadScenario(common::Config& config,
         config.GetDouble(prefix + "shared_skew", spec.zipf_skew);
     if (spec.share_prob > 0.0) {
       workload::PageRange shared;
-      if (!ParsePageRange(shared_text, &shared)) {
-        if (error) *error = prefix + "shared_pages required";
+      if (!ParsePageRange(shared_text, system_config.db_pages, &shared)) {
+        if (error) {
+          *error = BadPageRange(prefix + "shared_pages", shared_text,
+                                system_config.db_pages);
+        }
         return std::nullopt;
       }
       spec.shared_pages = shared;

@@ -28,16 +28,18 @@ struct Scenario {
 };
 
 /// Builds a Scenario from parsed key=value config. Reads every model key
-/// (listed in tools/memgoal_sim.cc's header comment) including the
-/// `queue` key (calendar | heap) selecting the event-queue backend, so a
-/// caller may follow up with Config::RejectUnknownFlags. Observability
-/// output paths (trace_out, decision_log, ...) are CLI concerns and are
-/// not read here. Returns std::nullopt and sets *error on invalid input.
+/// (listed in tools/memgoal_sim.cc's header comment), so a caller may
+/// follow up with Config::RejectUnknownFlags. Observability output paths
+/// (trace_out, decision_log, ...) are CLI concerns and are not read here.
+/// Returns std::nullopt and sets *error on invalid input.
 std::optional<Scenario> LoadScenario(common::Config& config,
                                      std::string* error);
 
-/// Parses a "begin:end" page range; returns false unless begin < end.
-bool ParsePageRange(const std::string& text, workload::PageRange* out);
+/// Parses a "begin:end" page range of a `db_pages`-page database; returns
+/// false unless both ends are decimal integers with
+/// begin < end <= db_pages.
+bool ParsePageRange(const std::string& text, PageId db_pages,
+                    workload::PageRange* out);
 
 }  // namespace memgoal::core
 

@@ -618,7 +618,6 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
 
 ClusterSystem::ClusterSystem(const SystemConfig& config)
     : config_(config),
-      simulator_(config.queue_backend),
       database_(config.db_pages, config.page_bytes, config.num_nodes),
       network_(&simulator_, config.network),
       directory_(&database_),

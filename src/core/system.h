@@ -20,7 +20,6 @@
 #include "cache/replacement.h"
 #include "common/rng.h"
 #include "core/metrics.h"
-#include "la/simplex.h"
 #include "net/directory.h"
 #include "net/network.h"
 #include "obs/attainment.h"
@@ -186,10 +185,6 @@ struct SystemConfig {
   double release_step_fraction = 0.10;
   /// Optimization objective used by the goal-oriented controller.
   PartitioningObjective objective = PartitioningObjective::kMinimizeNoGoalRt;
-  /// Simplex backend for the partitioning LPs. kDense reproduces the
-  /// original full-tableau solver for differential testing; the revised
-  /// backend scales to hundreds of nodes and warm-starts between intervals.
-  la::LpBackend lp_backend = la::LpBackend::kRevised;
 
   // -- Replacement (§6) -----------------------------------------------------
   cache::PolicyKind policy = cache::PolicyKind::kCostBased;
@@ -224,12 +219,6 @@ struct SystemConfig {
   uint32_t hint_msg_bytes = 32;
 
   uint64_t seed = 1;
-
-  /// Event-queue implementation for the simulator. kLegacyHeap reproduces
-  /// the pre-calendar-queue binary heap for differential testing; both
-  /// backends pop in identical (time, seq) order, so runs are bit-equal
-  /// either way.
-  sim::QueueBackend queue_backend = sim::QueueBackend::kCalendar;
 
   /// See InjectedBug; kNone outside auditor/fuzzer validation.
   InjectedBug injected_bug = InjectedBug::kNone;

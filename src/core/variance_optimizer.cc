@@ -1,6 +1,5 @@
 #include "core/variance_optimizer.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -8,13 +7,10 @@
 
 namespace memgoal::core {
 
-namespace {
-
-// Builds and solves the LP over variables [x_0..x_{n-1}, t_0..t_{n-1}].
-la::SimplexResult SolveLp(const VarianceOptimizerInput& input, bool equality,
-                          double goal_rt, LpOutcomeStats* stats) {
+la::SimplexSolver PoseVarianceLp(const VarianceOptimizerInput& input,
+                                 bool equality, double goal_rt) {
   const size_t n = input.upper_bounds.size();
-  la::SimplexSolver solver(2 * n, input.lp_backend);
+  la::SimplexSolver solver(2 * n);
 
   la::Vector objective(2 * n, 0.0);
   for (size_t i = 0; i < n; ++i) objective[n + i] = 1.0;
@@ -55,15 +51,19 @@ la::SimplexResult SolveLp(const VarianceOptimizerInput& input, bool equality,
   for (size_t j = 0; j < n; ++j) {
     solver.SetUpperBound(j, input.upper_bounds[j]);
   }
-  la::SimplexResult result = solver.Solve();
-  CountLpOutcome(result.status, stats);
-  return result;
+  return solver;
 }
-
-}  // namespace
 
 VarianceOptimizerOutput SolveVariancePartitioning(
     const VarianceOptimizerInput& input) {
+  return SolveVariancePartitioningWith(
+      input, [](const la::SimplexSolver& rung, const la::SimplexBasis* warm) {
+        return rung.Solve(warm);
+      });
+}
+
+VarianceOptimizerOutput SolveVariancePartitioningWith(
+    const VarianceOptimizerInput& input, RungSolver solve_rung) {
   const size_t n = input.upper_bounds.size();
   MEMGOAL_CHECK(n > 0);
   MEMGOAL_CHECK(input.node_planes.size() == n);
@@ -73,55 +73,22 @@ VarianceOptimizerOutput SolveVariancePartitioning(
   }
 
   VarianceOptimizerOutput output;
-  bool solved = false;
-  la::SimplexResult lp =
-      SolveLp(input, /*equality=*/true, input.goal_rt, &output.lp_stats);
-  if (lp.status == la::SimplexStatus::kOptimal) {
-    output.mode = OptimizerMode::kGoalEquality;
-    solved = true;
-  } else {
-    lp = SolveLp(input, /*equality=*/false, input.goal_rt, &output.lp_stats);
-    if (lp.status == la::SimplexStatus::kOptimal) {
-      output.mode = OptimizerMode::kGoalInequality;
-      solved = true;
-    }
-  }
-  if (!solved) {
-    // Same relaxed-goal ladder as SolvePartitioning before saturating.
-    for (double rho : kGoalRelaxationLadder) {
-      ++output.lp_stats.relaxed_retries;
-      const double relaxed = input.goal_rt * (1.0 + rho);
-      lp = SolveLp(input, /*equality=*/false, relaxed, &output.lp_stats);
-      if (lp.status == la::SimplexStatus::kOptimal) {
-        output.mode = OptimizerMode::kGoalRelaxed;
-        output.relaxed_goal_rt = relaxed;
-        solved = true;
-        break;
-      }
-    }
-  }
-  if (solved) {
-    output.allocation.assign(lp.x.begin(),
-                             lp.x.begin() + static_cast<ptrdiff_t>(n));
-  } else {
+  GoalLadderResult ladder = WalkGoalLadder(
+      input.goal_rt,
+      [&](bool equality, double goal_rt) {
+        return solve_rung(PoseVarianceLp(input, equality, goal_rt), nullptr);
+      },
+      &output.lp_stats);
+  output.mode = ladder.mode;
+  output.relaxed_goal_rt = ladder.relaxed_goal_rt;
+  if (ladder.mode == OptimizerMode::kBestEffort) {
     // Goal unreachable per the fits: saturate, as in SolvePartitioning.
-    output.mode = OptimizerMode::kBestEffort;
     output.allocation = input.upper_bounds;
+  } else {
+    output.allocation.assign(ladder.lp.x.begin(),
+                             ladder.lp.x.begin() + static_cast<ptrdiff_t>(n));
   }
-  // Snap-to-bound within relative LP tolerance, then clamp — same
-  // normalization as SolvePartitioning so both backends agree bit-for-bit
-  // after the controller's page rounding.
-  for (size_t i = 0; i < n; ++i) {
-    const double ub = input.upper_bounds[i];
-    const double snap = 1e-9 * std::max(1.0, ub);
-    double v = output.allocation[i];
-    if (std::fabs(v - ub) <= snap) {
-      v = ub;
-    } else if (std::fabs(v) <= snap) {
-      v = 0.0;
-    }
-    output.allocation[i] = std::clamp(v, 0.0, ub);
-  }
+  SnapToBounds(input.upper_bounds, &output.allocation);
 
   output.predicted_rt_per_node.resize(n);
   double mean = 0.0;

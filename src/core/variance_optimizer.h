@@ -23,8 +23,6 @@ struct VarianceOptimizerInput {
   double goal_rt = 0.0;
   /// Per-node capacity bounds (bytes), equation 6.
   la::Vector upper_bounds;
-  /// Which simplex backend solves the LPs.
-  la::LpBackend lp_backend = la::LpBackend::kRevised;
 };
 
 struct VarianceOptimizerOutput {
@@ -41,6 +39,11 @@ struct VarianceOptimizerOutput {
   LpOutcomeStats lp_stats;
 };
 
+/// Poses one rung of the variance LP below over [x_0..x_{n-1},
+/// t_0..t_{n-1}], with the mean-plane goal row as an equality or as `<=`.
+la::SimplexSolver PoseVarianceLp(const VarianceOptimizerInput& input,
+                                 bool equality, double goal_rt);
+
 /// Solves
 ///     min  sum_i t_i                              (L1 dispersion)
 ///     s.t. t_i >= +(RT_i(x) - mu(x))              for every node i
@@ -56,6 +59,11 @@ struct VarianceOptimizerOutput {
 /// then the relaxed-goal ladder, then the §3 monotonicity saturation.
 VarianceOptimizerOutput SolveVariancePartitioning(
     const VarianceOptimizerInput& input);
+
+/// SolveVariancePartitioning with every rung solved by `solve_rung`
+/// (always cold: `warm` is null) instead of SimplexSolver::Solve.
+VarianceOptimizerOutput SolveVariancePartitioningWith(
+    const VarianceOptimizerInput& input, RungSolver solve_rung);
 
 }  // namespace memgoal::core
 

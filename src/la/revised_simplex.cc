@@ -15,11 +15,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr size_t kNpos = std::numeric_limits<size_t>::max();
 /// Base tolerance; every test scales it by the magnitudes involved.
 constexpr double kEps = 1e-9;
-/// Pricing-only tolerance (see the dense solver's kPriceEps for the full
-/// rationale): reduced costs inherit the objective's scale, which in the
-/// partitioning LP is 1e-7-gradients against megabyte variable ranges, so
-/// the kEps-scaled test writes off vertices that are ~1e-3 better in the
-/// objective. Pivot admission and ratio tests keep kEps/kPivotTol.
+/// Pricing-only tolerance, three orders tighter than kEps. A reduced cost
+/// is "worth it" when |d| times the entering variable's range moves the
+/// objective, and the partitioning LP pairs 1e-7-scale cost gradients with
+/// megabyte-scale variable ranges: a 5e-10 reduced cost the kEps test
+/// dismissed as converged is a real ~1e-3 objective improvement (caught by
+/// the dense-oracle differential at n=256). Pivot admission and ratio tests
+/// keep the looser kEps/kPivotTol — accepting a noise-scale pivot element
+/// is dangerous, skipping a noise-scale reduced cost is not.
 constexpr double kPriceEps = 1e-12;
 /// Minimum pivot magnitude relative to the FTRANned column's norm.
 constexpr double kPivotTol = 1e-10;
@@ -126,7 +129,7 @@ using VarStatus = SimplexBasis::VarStatus;
 
 class RevisedSimplex {
  public:
-  RevisedSimplex(const RevisedLp& lp, int max_iterations)
+  RevisedSimplex(const LinearProgram& lp, int max_iterations)
       : lp_(lp), max_iterations_(max_iterations) {
     n_ = lp.num_vars;
     m_ = lp.rows.size();
@@ -138,11 +141,11 @@ class RevisedSimplex {
     rhs_.resize(m_);
     slack_upper_.resize(m_);
     for (size_t i = 0; i < m_; ++i) {
-      const bool ge = lp.relations[i] == RevisedLp::Relation::kGe;
+      const bool ge = lp.relations[i] == LinearProgram::Relation::kGe;
       row_flip[i] = ge ? -1.0 : 1.0;
       rhs_[i] = row_flip[i] * lp.rhs[i];
       slack_upper_[i] =
-          lp.relations[i] == RevisedLp::Relation::kEq ? 0.0 : kInf;
+          lp.relations[i] == LinearProgram::Relation::kEq ? 0.0 : kInf;
     }
     cols_idx_.resize(n_);
     cols_val_.resize(n_);
@@ -549,7 +552,7 @@ class RevisedSimplex {
     }
   }
 
-  const RevisedLp& lp_;
+  const LinearProgram& lp_;
   int max_iterations_;
   size_t n_ = 0;
   size_t m_ = 0;
@@ -576,7 +579,7 @@ class RevisedSimplex {
 
 }  // namespace
 
-SimplexResult SolveRevised(const RevisedLp& lp, const SimplexBasis* warm,
+SimplexResult SolveRevised(const LinearProgram& lp, const SimplexBasis* warm,
                            int max_iterations) {
   RevisedSimplex solver(lp, max_iterations);
   return solver.Solve(warm != nullptr && !warm->empty() ? warm : nullptr);

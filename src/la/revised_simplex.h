@@ -1,27 +1,9 @@
 #ifndef MEMGOAL_LA_REVISED_SIMPLEX_H_
 #define MEMGOAL_LA_REVISED_SIMPLEX_H_
 
-#include <cstddef>
-#include <vector>
-
 #include "la/simplex.h"
 
 namespace memgoal::la {
-
-/// Internal problem description handed from the SimplexSolver facade to the
-/// revised backend: the caller's rows verbatim plus per-variable upper
-/// bounds (+infinity where unset). Lower bounds are implicitly 0.
-struct RevisedLp {
-  enum class Relation { kLe, kGe, kEq };
-
-  size_t num_vars = 0;
-  bool minimize = true;
-  Vector objective;
-  std::vector<Vector> rows;
-  std::vector<Relation> relations;
-  Vector rhs;
-  Vector upper;
-};
 
 /// Solves `lp` with the revised simplex (sparse columns, implicit bounds,
 /// LU basis + product-form eta updates, Dantzig pricing with Bland
@@ -29,7 +11,7 @@ struct RevisedLp {
 /// inapplicable warm basis falls back to a cold start. `max_iterations`
 /// bounds pivots + bound flips across both phases; exceeding it returns
 /// SimplexStatus::kIterationLimit.
-SimplexResult SolveRevised(const RevisedLp& lp, const SimplexBasis* warm,
+SimplexResult SolveRevised(const LinearProgram& lp, const SimplexBasis* warm,
                            int max_iterations);
 
 }  // namespace memgoal::la

@@ -36,34 +36,7 @@ inline const char* SimplexStatusName(SimplexStatus status) {
   return "?";
 }
 
-/// Which simplex implementation a SimplexSolver runs.
-enum class LpBackend {
-  /// Two-phase dense full tableau (the original implementation). Upper
-  /// bounds are lowered to explicit rows, so one solve costs O(pivots · m ·
-  /// cols) with m growing by one per bounded variable — fine for the
-  /// paper's 3-node NOW, quadratic-squared at 256 nodes. Kept runtime-
-  /// selectable as the differential-testing oracle, mirroring the
-  /// `queue=heap` legacy event-queue backend.
-  kDense,
-  /// Revised simplex over sparse columns with implicit variable bounds, an
-  /// LU-factorized basis updated in product form (eta file) with periodic
-  /// refactorization, Dantzig pricing with Bland's-rule fallback on stall,
-  /// and optional warm starts. The partitioning LP (one coupling row, n
-  /// bounded variables) solves with a 1x1 basis regardless of n.
-  kRevised,
-};
-
-inline const char* LpBackendName(LpBackend backend) {
-  switch (backend) {
-    case LpBackend::kDense:
-      return "dense";
-    case LpBackend::kRevised:
-      return "revised";
-  }
-  return "?";
-}
-
-/// A variable-status basis snapshot of the revised solver: one entry per
+/// A variable-status basis snapshot of the solver: one entry per
 /// structural variable followed by one per constraint row (that row's slack
 /// variable). Feeding a prior solve's basis back in as a warm start lets a
 /// steady-state re-solve skip phase 1 and start pricing from the old
@@ -92,34 +65,46 @@ struct SimplexResult {
   Vector x;
   /// Objective value at x, in the caller's orientation (min or max).
   double objective = 0.0;
-  /// Final basis of the revised backend (empty from the dense backend, or
-  /// when the final basis is not expressible — e.g. a residual artificial).
-  /// Feed back into Solve() as a warm start.
+  /// Final basis (empty when it is not expressible — e.g. a residual
+  /// artificial). Feed back into Solve() as a warm start.
   SimplexBasis basis;
-  /// Simplex iterations spent (pivots + bound flips), both backends.
+  /// Simplex iterations spent (pivots + bound flips).
   int iterations = 0;
 };
 
-/// Simplex solver for the partitioning linear programs.
+/// A linear program in the solver's native form:
 ///
-/// Solves
 ///     min (or max)  c^T x
-///     s.t.          a_i^T x  {<=, >=, =}  b_i      for each constraint
-///                   0 <= x_j                        for all variables
-///                   x_j <= ub_j                     where an upper bound set
+///     s.t.          a_i^T x  {<=, >=, =}  b_i      for each row
+///                   0 <= x_j <= upper_j             for all variables
 ///
-/// Two runtime-selectable backends share this interface (see LpBackend).
-/// The dense tableau lowers SetUpperBound to an explicit `<=` row; the
-/// revised backend keeps bounds implicit. Bland's rule (always on for
-/// dense, stall-triggered for revised) guarantees termination up to the
-/// iteration safety bound. This replaces the lp-solve library used in the
-/// paper (§5, reference [3]).
+/// with upper_j = +infinity where no bound is set.
+struct LinearProgram {
+  enum class Relation { kLe, kGe, kEq };
+
+  size_t num_vars = 0;
+  bool minimize = true;
+  Vector objective;
+  std::vector<Vector> rows;
+  std::vector<Relation> relations;
+  Vector rhs;
+  Vector upper;
+};
+
+/// Simplex solver for the partitioning linear programs: builds a
+/// LinearProgram and solves it with the revised simplex (sparse columns,
+/// implicit variable bounds, an LU-factorized basis updated in product form
+/// with periodic refactorization, Dantzig pricing with Bland's-rule
+/// fallback on stall, optional warm starts; see la/revised_simplex.h). The
+/// partitioning LP (one coupling row, n bounded variables) solves with a
+/// 1x1 basis regardless of n. This replaces the lp-solve library used in
+/// the paper (§5, reference [3]).
 ///
-/// The solver is single-use: configure, call Solve() once.
+/// Configure the program, then call Solve(); solving leaves the configured
+/// program untouched.
 class SimplexSolver {
  public:
-  explicit SimplexSolver(size_t num_vars,
-                         LpBackend backend = LpBackend::kRevised);
+  explicit SimplexSolver(size_t num_vars);
 
   /// Sets the objective coefficients (size must equal num_vars).
   void SetObjective(const Vector& c, bool minimize = true);
@@ -128,56 +113,21 @@ class SimplexSolver {
   void AddGe(const Vector& a, double b);
   void AddEq(const Vector& a, double b);
 
-  /// Bounds x_var <= ub. The dense backend adds the row x_var <= ub; the
-  /// revised backend records an implicit bound. Repeated calls keep the
-  /// tightest bound on the revised path (the dense path accumulates rows,
-  /// which is equivalent).
+  /// Bounds x_var <= ub. Repeated calls keep the tightest bound.
   void SetUpperBound(size_t var, double ub);
 
-  /// Solves the configured program. `warm` (revised backend only) seeds the
-  /// initial basis from a previous solve of a same-shaped program; the
-  /// dense backend ignores it.
-  SimplexResult Solve(const SimplexBasis* warm = nullptr);
+  /// Solves the configured program. `warm` seeds the initial basis from a
+  /// previous solve of a same-shaped program.
+  SimplexResult Solve(const SimplexBasis* warm = nullptr) const;
 
-  size_t num_vars() const { return num_vars_; }
-  /// Number of constraint rows as posed to the backend (the dense backend
-  /// counts one extra row per SetUpperBound call).
-  size_t num_constraints() const { return relations_.size(); }
-  LpBackend backend() const { return backend_; }
+  /// The program as configured so far.
+  const LinearProgram& program() const { return lp_; }
 
  private:
-  enum class Relation { kLe, kGe, kEq };
-  enum class IterateOutcome { kOptimal, kUnbounded, kIterationLimit };
+  void AddConstraint(const Vector& a, LinearProgram::Relation relation,
+                     double b);
 
-  void AddConstraint(const Vector& a, Relation relation, double b);
-
-  SimplexResult SolveDense();
-
-  // Pivots the tableau on (pivot_row, pivot_col).
-  void Pivot(size_t pivot_row, size_t pivot_col);
-
-  // Runs simplex iterations on the current cost row. `allowed_cols` bounds
-  // the entering-column search (used to exclude artificials in phase 2).
-  IterateOutcome Iterate(size_t allowed_cols);
-
-  size_t num_vars_;
-  LpBackend backend_;
-  bool minimize_ = true;
-  Vector objective_;
-  std::vector<Vector> rows_;
-  std::vector<Relation> relations_;
-  Vector rhs_;
-  /// Implicit upper bounds (revised backend); +infinity where unset.
-  Vector upper_;
-  int iterations_used_ = 0;
-
-  // Tableau state during a dense Solve(). tableau_ has one row per
-  // constraint plus a trailing cost row; each row has total_cols_ + 1
-  // entries (RHS last).
-  std::vector<Vector> tableau_;
-  std::vector<size_t> basis_;
-  size_t total_cols_ = 0;
-  size_t artificial_begin_ = 0;
+  LinearProgram lp_;
 };
 
 }  // namespace memgoal::la

@@ -27,8 +27,8 @@ namespace memgoal::obs {
 /// Orders instrument names "naturally": maximal digit runs compare as
 /// numbers, everything else byte-wise. This puts "class2.rt" before
 /// "class10.rt" (lexicographic order would not), so per-class columns in
-/// CSV/JSONL snapshots appear in class-id order and diffs across
-/// backends/threads stay byte-stable as class counts grow past 9.
+/// CSV/JSONL snapshots appear in class-id order and diffs across runs and
+/// thread counts stay byte-stable as class counts grow past 9.
 struct NaturalLess {
   bool operator()(const std::string& a, const std::string& b) const;
 };

@@ -137,11 +137,4 @@ void CalendarQueue::Rebuild(size_t bucket_count) {
   cursor_day_ = nodes.empty() ? 0 : nodes.front()->day;
 }
 
-std::unique_ptr<EventQueue> MakeEventQueue(QueueBackend backend) {
-  if (backend == QueueBackend::kLegacyHeap) {
-    return std::make_unique<LegacyHeapQueue>();
-  }
-  return std::make_unique<CalendarQueue>();
-}
-
 }  // namespace memgoal::sim

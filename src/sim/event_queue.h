@@ -20,7 +20,7 @@ namespace memgoal::sim {
 using SimTime = double;
 
 /// One pending simulator event, allocated from an EventArena and linked
-/// intrusively into whichever EventQueue backend owns it.
+/// intrusively into the CalendarQueue that owns it.
 ///
 /// The scheduled callable is constructed directly into `storage` when it
 /// fits (every closure the repository schedules today does), so the common
@@ -43,8 +43,7 @@ struct EventNode {
   uint64_t seq = 0;
   /// Calendar bucket ordinal floor(time / width), computed once per
   /// (re)insertion and then treated as the node's authoritative position so
-  /// floating-point rounding can never re-file it mid-residence. Unused by
-  /// the legacy heap backend.
+  /// floating-point rounding can never re-file it mid-residence.
   uint64_t day = 0;
   /// Intrusive link: calendar bucket chain, or the arena free list.
   EventNode* next = nullptr;
@@ -78,8 +77,8 @@ struct EventNode {
 
   /// True when `a` fires before `b`: (time, seq) lexicographic order, the
   /// simulator's documented FIFO-at-same-timestamp contract. `seq` values
-  /// are unique, so this is a strict total order and any two correct queue
-  /// backends pop in bit-identical order.
+  /// are unique, so this is a strict total order: any correct priority
+  /// queue over it pops in one bit-identical order.
   static bool Earlier(const EventNode* a, const EventNode* b) {
     if (a->time != b->time) return a->time < b->time;
     return a->seq < b->seq;
@@ -142,68 +141,11 @@ class EventArena {
   size_t high_water_ = 0;
 };
 
-/// Priority-queue abstraction over arena nodes, ordered by
-/// EventNode::Earlier. Implementations never own node memory; the
-/// Simulator's arena does.
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-  /// Files `node` (time and seq already set). May rewrite node->day/next.
-  virtual void Insert(EventNode* node) = 0;
-  /// Earliest node without removing it; nullptr when empty.
-  virtual EventNode* PeekMin() = 0;
-  /// Removes and returns the earliest node; nullptr when empty.
-  virtual EventNode* PopMin() = 0;
-  virtual size_t size() const = 0;
-};
-
-/// Which EventQueue implementation a Simulator uses. The legacy binary heap
-/// is kept runtime-selectable so the QueueConformance and differential
-/// determinism tests can drive both backends through identical schedules
-/// and assert bit-identical pop order; kCalendar is the default everywhere.
-enum class QueueBackend : uint8_t {
-  kCalendar = 0,
-  kLegacyHeap = 1,
-};
-
-/// The pre-refactor std::priority_queue behavior, re-expressed over arena
-/// nodes: a binary heap on (time, seq). O(log n) per operation; reference
-/// backend for differential tests.
-class LegacyHeapQueue final : public EventQueue {
- public:
-  void Insert(EventNode* node) override {
-    heap_.push_back(node);
-    std::push_heap(heap_.begin(), heap_.end(), Later);
-  }
-
-  EventNode* PeekMin() override {
-    return heap_.empty() ? nullptr : heap_.front();
-  }
-
-  EventNode* PopMin() override {
-    if (heap_.empty()) return nullptr;
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    EventNode* node = heap_.back();
-    heap_.pop_back();
-    return node;
-  }
-
-  size_t size() const override { return heap_.size(); }
-
- private:
-  // std::push_heap builds a max-heap; "fires later" as the less-than
-  // relation puts the earliest event at the front.
-  static bool Later(const EventNode* a, const EventNode* b) {
-    return EventNode::Earlier(b, a);
-  }
-
-  std::vector<EventNode*> heap_;
-};
-
 /// Calendar queue (Brown, CACM'88): an array of day buckets, each a sorted
 /// intrusive list, with a cursor walking the current day. Amortized O(1)
 /// insert and pop under the stationarity the simulation's event population
-/// actually exhibits, versus O(log n) for the binary heap.
+/// actually exhibits, versus O(log n) for a binary heap. Ordered by
+/// EventNode::Earlier; never owns node memory (the Simulator's arena does).
 ///
 /// Layout invariants:
 ///  - node->day = floor(time / width_), computed once at (re)insertion;
@@ -214,13 +156,17 @@ class LegacyHeapQueue final : public EventQueue {
 /// Hence the earliest event overall is the head of the first bucket, in
 /// day order from cursor_day_, whose head matches the scanned day; a full
 /// fruitless year falls back to a direct scan of all bucket heads.
-class CalendarQueue final : public EventQueue {
+class CalendarQueue {
  public:
   CalendarQueue();
-  void Insert(EventNode* node) override;
-  EventNode* PeekMin() override;
-  EventNode* PopMin() override;
-  size_t size() const override { return size_; }
+
+  /// Files `node` (time and seq already set). Rewrites node->day/next.
+  void Insert(EventNode* node);
+  /// Earliest node without removing it; nullptr when empty.
+  EventNode* PeekMin();
+  /// Removes and returns the earliest node; nullptr when empty.
+  EventNode* PopMin();
+  size_t size() const { return size_; }
 
   size_t bucket_count() const { return buckets_.size(); }
   double width() const { return width_; }
@@ -271,8 +217,6 @@ class CalendarQueue final : public EventQueue {
   /// O(n log n) rebuilds; resets on any effective width change.
   uint64_t retune_window_ = kRetuneWindow;
 };
-
-std::unique_ptr<EventQueue> MakeEventQueue(QueueBackend backend);
 
 }  // namespace memgoal::sim
 

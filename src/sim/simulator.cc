@@ -7,9 +7,6 @@
 
 namespace memgoal::sim {
 
-Simulator::Simulator(QueueBackend backend)
-    : backend_(backend), queue_(MakeEventQueue(backend)) {}
-
 Simulator::~Simulator() {
   // Destroying a root frame transitively destroys the frames of any tasks
   // it is currently awaiting (they live in the root's co_await temporaries).
@@ -24,7 +21,7 @@ Simulator::~Simulator() {
   // running it, then recycle the node so the arena's teardown sees every
   // slab fully dead.
   EventNode* node;
-  while ((node = queue_->PopMin()) != nullptr) {
+  while ((node = queue_.PopMin()) != nullptr) {
     node->invoke(node, /*run=*/false);
     arena_.Free(node);
   }
@@ -64,11 +61,11 @@ void Simulator::ScheduleResume(SimTime delay,
   void* address = handle.address();
   std::memcpy(node->storage, &address, sizeof(address));
   node->invoke = &ResumeThunk;
-  queue_->Insert(node);
+  queue_.Insert(node);
 }
 
 bool Simulator::StepOne() {
-  EventNode* node = queue_->PopMin();
+  EventNode* node = queue_.PopMin();
   if (node == nullptr) return false;
   MEMGOAL_DCHECK(node->time >= now_);
   now_ = node->time;
@@ -101,7 +98,7 @@ uint64_t Simulator::RunUntil(SimTime until) {
   obs::ProfileScope profile(obs::Phase::kSimStep);
   uint64_t processed = 0;
   const EventNode* head;
-  while ((head = queue_->PeekMin()) != nullptr && head->time <= until) {
+  while ((head = queue_.PeekMin()) != nullptr && head->time <= until) {
     StepOne();
     ++processed;
   }

@@ -3,7 +3,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -13,8 +12,7 @@
 namespace memgoal::sim {
 
 /// Single-threaded discrete-event simulator over a calendar-queue event
-/// core (see sim/event_queue.h; the pre-refactor binary heap stays
-/// available as QueueBackend::kLegacyHeap for differential testing).
+/// core (see sim/event_queue.h).
 ///
 /// Two styles of client coexist:
 ///  - callback events via Schedule()/At(), and
@@ -25,7 +23,7 @@ namespace memgoal::sim {
 /// every event carries a monotonically assigned sequence number and the
 /// queue pops in strict (time, seq) order, which together with
 /// single-threaded execution and explicit seeding makes every simulation
-/// bit-for-bit reproducible — on either queue backend, in identical order.
+/// bit-for-bit reproducible.
 ///
 /// Event records and their callables live in a slab arena (EventArena);
 /// scheduling a callable that fits EventNode::kInlineBytes — including
@@ -33,7 +31,7 @@ namespace memgoal::sim {
 /// no heap allocation.
 class Simulator {
  public:
-  explicit Simulator(QueueBackend backend = QueueBackend::kCalendar);
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -46,8 +44,6 @@ class Simulator {
 
   /// Current simulated time.
   SimTime Now() const { return now_; }
-
-  QueueBackend queue_backend() const { return backend_; }
 
   /// Schedules `fn` to run `delay` milliseconds from now (delay >= 0).
   /// Accepts any void() callable; it is moved/copied straight into the
@@ -121,7 +117,7 @@ class Simulator {
   bool Step();
 
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return queue_->size(); }
+  size_t pending_events() const { return queue_.size(); }
 
   /// Slab-allocation statistics, exposed for the arena lifetime tests.
   const EventArena& arena() const { return arena_; }
@@ -133,7 +129,7 @@ class Simulator {
     node->time = when;
     node->seq = next_seq_++;
     node->Emplace(std::forward<Fn>(fn));
-    queue_->Insert(node);
+    queue_.Insert(node);
   }
 
   /// Pops and dispatches the earliest event without opening a profile
@@ -143,12 +139,11 @@ class Simulator {
 
   static void OnRootDone(void* context, internal::PromiseBase* promise);
 
-  QueueBackend backend_;
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   EventArena arena_;
-  std::unique_ptr<EventQueue> queue_;
+  CalendarQueue queue_;
   // Head of the intrusive doubly-linked list of detached root promises
   // still in flight (see Spawn).
   internal::PromiseBase* live_roots_ = nullptr;

@@ -5,19 +5,18 @@
 // bench/trial_runner.h; a failure here means some shared mutable state or
 // order-dependent seeding crept back into the trial path.
 //
-// The QueueBackendDifferential suite extends the same idea across event-core
-// implementations: every scenario file under tools/scenarios/ and a set of
-// chaos-fuzz schedules replayed through the calendar queue and the legacy
-// binary heap must produce byte-identical metrics CSV and controller
-// decision logs. The two backends share nothing but the (time, seq)
-// ordering contract, so agreement here pins the whole simulation — clock
-// advancement, RNG draw order, controller decisions — to that contract.
+// The ScenarioGolden table extends the same idea across commits: every
+// scenario file under tools/scenarios/ and a set of chaos-fuzz schedules
+// reduce to a pinned digest of their metrics CSV, decision log and event
+// count, so a refactor of the simulation core must keep clock advancement,
+// RNG draw order and controller decisions bit-identical.
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -54,18 +53,24 @@ ExperimentSetup SmallSetup(uint64_t seed) {
   return setup;
 }
 
+// The bytes `write(stream)` prints.
+template <typename Write>
+std::string Capture(Write&& write) {
+  char* buf = nullptr;
+  size_t size = 0;
+  std::FILE* stream = open_memstream(&buf, &size);
+  write(stream);
+  std::fclose(stream);
+  std::string text(buf, size);
+  std::free(buf);
+  return text;
+}
+
 // Renders a run's full interval log as CSV, the same bytes
 // `tools/memgoal_sim` would emit. Comparing the serialized form catches any
 // divergence in any field of any record.
 std::string CsvOf(const core::MetricsLog& log) {
-  char* buf = nullptr;
-  size_t size = 0;
-  std::FILE* stream = open_memstream(&buf, &size);
-  log.WriteCsv(stream);
-  std::fclose(stream);
-  std::string csv(buf, size);
-  std::free(buf);
-  return csv;
+  return Capture([&log](std::FILE* stream) { log.WriteCsv(stream); });
 }
 
 // One complete simulation trial -> its interval CSV.
@@ -194,21 +199,23 @@ TEST(DeterminismTest, MeasureConvergenceDefaultsToInlineRunner) {
 }
 
 // ---------------------------------------------------------------------------
-// Calendar-queue vs legacy-heap differential replay.
+// Pinned whole-run digests.
 
-// One full scenario run on the given backend, reduced to its observable
-// outputs: the interval metrics CSV and the controller decision log (every
-// coordinator check, serialized). `text` is scenario key=value text; later
-// lines override earlier ones, so callers append test-sized overrides.
-struct BackendRun {
+// One full scenario run reduced to its observable outputs: the interval
+// metrics CSV, the controller decision log (every coordinator check,
+// serialized), the attainment tracker's exports (empty when the run is not
+// tracked) and the event count.
+struct ScenarioRun {
   std::string metrics_csv;
   std::string decision_jsonl;
+  std::string attainment_jsonl;
+  std::string attainment_csv;
   uint64_t events = 0;
 };
 
-std::optional<BackendRun> RunScenarioText(
-    const std::string& text, sim::QueueBackend backend,
-    obs::AttainmentTracker* attainment = nullptr) {
+// Parses scenario key=value text; later lines override earlier ones, so
+// callers append test-sized overrides.
+std::optional<core::Scenario> ParseScenario(const std::string& text) {
   common::Config config;
   if (!config.ParseText(text)) {
     ADD_FAILURE() << "bad scenario text: " << config.error();
@@ -216,219 +223,221 @@ std::optional<BackendRun> RunScenarioText(
   }
   std::string error;
   std::optional<core::Scenario> scenario = core::LoadScenario(config, &error);
-  if (!scenario.has_value()) {
-    ADD_FAILURE() << "LoadScenario: " << error;
-    return std::nullopt;
-  }
-  scenario->system.queue_backend = backend;
-  core::ClusterSystem system(scenario->system);
-  for (const workload::ClassSpec& spec : scenario->classes) {
+  if (!scenario.has_value()) ADD_FAILURE() << "LoadScenario: " << error;
+  return scenario;
+}
+
+ScenarioRun RunScenario(const core::Scenario& scenario,
+                        obs::AttainmentTracker* attainment = nullptr) {
+  core::ClusterSystem system(scenario.system);
+  for (const workload::ClassSpec& spec : scenario.classes) {
     system.AddClass(spec);
   }
   obs::DecisionLog decision_log;
   system.SetDecisionLog(&decision_log);
   if (attainment != nullptr) system.SetAttainment(attainment);
   sim::InvariantAuditor auditor;
-  if (scenario->audit) system.EnableAuditor(&auditor);
+  if (scenario.audit) system.EnableAuditor(&auditor);
   system.Start();
-  system.RunIntervals(scenario->intervals);
-  EXPECT_TRUE(!scenario->audit || auditor.ok());
+  system.RunIntervals(scenario.intervals);
+  EXPECT_TRUE(!scenario.audit || auditor.ok());
 
-  BackendRun run;
+  ScenarioRun run;
   run.metrics_csv = CsvOf(system.metrics());
-  char* buf = nullptr;
-  size_t size = 0;
-  std::FILE* stream = open_memstream(&buf, &size);
-  decision_log.WriteJsonl(stream);
-  std::fclose(stream);
-  run.decision_jsonl.assign(buf, size);
-  std::free(buf);
+  run.decision_jsonl = Capture(
+      [&decision_log](std::FILE* stream) { decision_log.WriteJsonl(stream); });
+  if (attainment != nullptr) {
+    run.attainment_jsonl = Capture(
+        [attainment](std::FILE* stream) { attainment->WriteJsonl(stream); });
+    run.attainment_csv = Capture(
+        [attainment](std::FILE* stream) { attainment->WriteCsv(stream); });
+  }
   run.events = system.simulator().events_processed();
   return run;
 }
 
-// Runs `text` on both backends and asserts byte-identical outputs.
-void ExpectBackendsAgree(const std::string& text, const std::string& what) {
-  const std::optional<BackendRun> calendar =
-      RunScenarioText(text, sim::QueueBackend::kCalendar);
-  const std::optional<BackendRun> heap =
-      RunScenarioText(text, sim::QueueBackend::kLegacyHeap);
-  ASSERT_TRUE(calendar.has_value() && heap.has_value()) << what;
-  EXPECT_GT(calendar->events, 0u) << what;
-  EXPECT_EQ(calendar->events, heap->events) << what;
-  EXPECT_EQ(calendar->metrics_csv, heap->metrics_csv) << what;
-  EXPECT_FALSE(calendar->decision_jsonl.empty()) << what;
-  EXPECT_EQ(calendar->decision_jsonl, heap->decision_jsonl) << what;
+std::optional<ScenarioRun> RunScenarioText(
+    const std::string& text, obs::AttainmentTracker* attainment = nullptr) {
+  std::optional<core::Scenario> scenario = ParseScenario(text);
+  if (!scenario.has_value()) return std::nullopt;
+  return RunScenario(*scenario, attainment);
 }
 
-TEST(QueueBackendDifferential, ScenarioFilesReplayIdentically) {
-  // Every checked-in scenario file, cut down to a test-sized horizon. The
-  // files cover the interesting configuration space: multiclass goals,
-  // stochastic crash faults, gray degradation, burst loss, partitions.
-  const std::vector<std::string> scenarios = {
-      "base.conf", "corrupt.conf", "faults.conf", "gray.conf",
-      "oltp_dss.conf", "partition.conf"};
-  for (const std::string& name : scenarios) {
-    const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
-    std::ifstream file(path);
-    ASSERT_TRUE(file.is_open()) << path;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    ExpectBackendsAgree(buffer.str() + "\nintervals=6\n", name);
+// FNV-1a over the metrics CSV, the decision-log JSONL, the attainment
+// JSONL and CSV, then the event count's eight little-endian bytes. An
+// untracked run's empty attainment exports mix in nothing.
+uint64_t Digest(const ScenarioRun& run) {
+  uint64_t hash = 0xCBF29CE484222325ull;
+  const auto mix = [&hash](unsigned char byte) {
+    hash ^= byte;
+    hash *= 0x100000001B3ull;
+  };
+  for (const std::string* text : {&run.metrics_csv, &run.decision_jsonl,
+                                  &run.attainment_jsonl, &run.attainment_csv}) {
+    for (const char c : *text) mix(static_cast<unsigned char>(c));
   }
-}
-
-TEST(QueueBackendDifferential, ChaosSchedulesReplayIdentically) {
-  // Chaos-fuzz repro configuration: a generated fault schedule (crashes x
-  // gray episodes x partitions) overlaid on a small multiclass cluster,
-  // exactly what tools/chaos_fuzz replays from a repro file's seed. Three
-  // seeds; each must agree across backends through every fault event.
-  for (const uint64_t chaos_seed : {11ull, 4242ull, 987654321ull}) {
-    std::ostringstream text;
-    text << "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-            "interval_ms=2000\nintervals=8\nseed=5\n"
-            "classes=2\nclass1_goal_ms=60\n"
-            "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-            "chaos_seed=" << chaos_seed << "\n";
-    ExpectBackendsAgree(text.str(),
-                        "chaos_seed=" + std::to_string(chaos_seed));
+  for (int byte = 0; byte < 8; ++byte) {
+    mix(static_cast<unsigned char>(run.events >> (8 * byte)));
   }
+  return hash;
 }
 
-TEST(QueueBackendDifferential, ReproFileRoundTripReplaysIdentically) {
-  // The chaos_fuzz repro-file path, end to end: a generated schedule is
-  // serialized with ToText (the repro file format), parsed back with
-  // FromText, applied to the fault params, and the resulting run must
-  // agree across backends. Distinct from ChaosSchedulesReplayIdentically
-  // in that the schedule passes through its on-disk representation.
+std::string ScenarioFile(const std::string& name) {
+  const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
+  std::ifstream file(path);
+  EXPECT_TRUE(file.is_open()) << path;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+// The small multiclass cluster the chaos-fuzz repro files run on.
+constexpr char kSmallCluster[] =
+    "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
+    "interval_ms=2000\nintervals=8\nseed=5\n"
+    "classes=2\nclass1_goal_ms=60\n";
+constexpr char kBusyClasses[] =
+    "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n";
+
+// Stochastic crashes on the small busy cluster.
+std::string CrashingCluster() {
+  return std::string(kSmallCluster) + kBusyClasses +
+         "fault_mttf_ms=30000\nfault_mttr_ms=5000\n";
+}
+
+// The chaos_fuzz repro-file path, end to end: a generated schedule is
+// serialized with ToText (the repro file format), parsed back with
+// FromText and applied to the fault params.
+std::optional<ScenarioRun> RunReproRoundTrip() {
   sim::chaos::GenerateLimits limits;
   limits.num_nodes = 4;
   limits.horizon_ms = 8 * 2000.0;
   const sim::chaos::Schedule generated = sim::chaos::Generate(777u, limits);
   sim::chaos::Schedule replayed;
-  ASSERT_TRUE(sim::chaos::FromText(sim::chaos::ToText(generated), &replayed));
+  EXPECT_TRUE(sim::chaos::FromText(sim::chaos::ToText(generated), &replayed));
+  std::optional<core::Scenario> scenario = ParseScenario(kSmallCluster);
+  if (!scenario.has_value()) return std::nullopt;
+  sim::chaos::ApplyToFaultParams(replayed, &scenario->system.faults);
+  return RunScenario(*scenario);
+}
 
-  auto run = [&](sim::QueueBackend backend) {
-    common::Config config;
-    EXPECT_TRUE(config.ParseText(
-        "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-        "interval_ms=2000\nintervals=8\nseed=5\n"
-        "classes=2\nclass1_goal_ms=60\n"));
-    std::string error;
-    std::optional<core::Scenario> scenario =
-        core::LoadScenario(config, &error);
-    EXPECT_TRUE(scenario.has_value()) << error;
-    sim::chaos::ApplyToFaultParams(replayed, &scenario->system.faults);
-    scenario->system.queue_backend = backend;
-    core::ClusterSystem system(scenario->system);
-    for (const workload::ClassSpec& spec : scenario->classes) {
-      system.AddClass(spec);
-    }
-    system.Start();
-    system.RunIntervals(scenario->intervals);
-    return CsvOf(system.metrics());
+// Stochastic crashes on the small busy cluster with the attainment
+// tracker enabled: budget rows, miss cards and the decision records they
+// annotate.
+std::optional<ScenarioRun> RunTrackedCrashingCluster() {
+  obs::AttainmentTracker tracker;
+  tracker.Enable(true);
+  return RunScenarioText(CrashingCluster(), &tracker);
+}
+
+TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
+  // Every checked-in scenario file at a horizon that covers its scripted
+  // episodes (gray degrade/restore, partition cut/heal, crash/recover,
+  // the scripted corruption strike), chaos-fuzz schedules, the repro-file
+  // round trip, burst loss under the auditor (the densest same-timestamp
+  // collisions), active corruption with the scrubber, and a tracked run's
+  // attainment exports. Each digest covers clock advancement, RNG draw
+  // order and every controller decision, so any change in simulated
+  // behaviour moves it. The pins were taken while the calendar queue and a
+  // binary heap still agreed byte for byte on every row. Like
+  // EventOrderGolden they are specific to the tier-1 toolchain (x86-64,
+  // GCC 12.2, glibc 2.36): the doubles they hash pass through libm.
+  // Re-pin only for an intended behaviour change, from the observed value
+  // printed on failure.
+  struct Golden {
+    std::string name;
+    uint64_t digest;
+    std::function<std::optional<ScenarioRun>()> run;
   };
-  const std::string calendar = run(sim::QueueBackend::kCalendar);
-  EXPECT_FALSE(calendar.empty());
-  EXPECT_EQ(calendar, run(sim::QueueBackend::kLegacyHeap));
+  const auto file = [](const std::string& name, int intervals) {
+    return [name, intervals] {
+      return RunScenarioText(ScenarioFile(name) + "\nintervals=" +
+                             std::to_string(intervals) + "\n");
+    };
+  };
+  const auto text = [](const std::string& body) {
+    return [body] { return RunScenarioText(body); };
+  };
+  const auto chaos = [&text](uint64_t seed) {
+    return text(std::string(kSmallCluster) + kBusyClasses +
+                "chaos_seed=" + std::to_string(seed) + "\n");
+  };
+  const std::vector<Golden> goldens = {
+      {"base.conf", 0x864c52393178c9c2ull, file("base.conf", 6)},
+      {"corrupt.conf", 0xea00d5f50537acabull, file("corrupt.conf", 14)},
+      {"faults.conf", 0xcd5a53b1f05807edull, file("faults.conf", 46)},
+      {"gray.conf", 0x226ed587c62f8fa1ull, file("gray.conf", 34)},
+      {"oltp_dss.conf", 0xd15fc0ec2d805d22ull, file("oltp_dss.conf", 6)},
+      {"partition.conf", 0x1edb35ff315df965ull, file("partition.conf", 34)},
+      {"chaos_seed=11", 0x9142ff22b0589394ull, chaos(11)},
+      {"chaos_seed=4242", 0x27c0fd0be38b549dull, chaos(4242)},
+      {"chaos_seed=987654321", 0x68ba8dc1757099e3ull, chaos(987654321)},
+      {"repro-round-trip", 0xa00c492c27f8e1bcull, RunReproRoundTrip},
+      {"burst-loss+audit", 0x1f7f1b53bc22ffb9ull,
+       text("nodes=3\ndb_pages=600\ncache_bytes=262144\n"
+            "interval_ms=2000\nintervals=6\nseed=3\n"
+            "net_loss_model=burst\nnet_burst_g2b=0.01\nnet_burst_b2g=0.3\n"
+            "net_loss=0.02\naudit=1\n"
+            "classes=2\nclass1_goal_ms=80\n")},
+      {"corruption+scrub", 0x3f39f5e80d6c5683ull,
+       text(std::string(kSmallCluster) + kBusyClasses +
+            "corrupt=all\ncorrupt_latent=0.25\nfault_mttc_ms=4000\n"
+            "corrupt_node=1\ncorrupt_at_ms=1500\ncorrupt_count=3\n"
+            "corrupt_salt=9\nscrub=idle\nscrub_interval_ms=500\naudit=1\n")},
+      {"crashing+attainment", 0x1d653852fa505003ull,
+       RunTrackedCrashingCluster},
+  };
+  for (const Golden& golden : goldens) {
+    const std::optional<ScenarioRun> run = golden.run();
+    ASSERT_TRUE(run.has_value()) << golden.name;
+    EXPECT_GT(run->events, 0u) << golden.name;
+    EXPECT_FALSE(run->decision_jsonl.empty()) << golden.name;
+    const uint64_t observed = Digest(*run);
+    EXPECT_EQ(observed, golden.digest)
+        << golden.name << ": observed digest 0x" << std::hex << observed;
+  }
 }
 
-TEST(QueueBackendDifferential, LossyNetworkAndAuditReplayIdentically) {
-  // Burst-loss retransmission timers produce the densest same-timestamp
-  // event collisions (timeout + arrival races); the invariant auditor adds
-  // interval-boundary sweeps. Both must not disturb cross-backend
-  // agreement.
-  ExpectBackendsAgree(
-      "nodes=3\ndb_pages=600\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=6\nseed=3\n"
-      "net_loss_model=burst\nnet_burst_g2b=0.01\nnet_burst_b2g=0.3\n"
-      "net_loss=0.02\naudit=1\n"
-      "classes=2\nclass1_goal_ms=80\n",
-      "burst-loss+audit");
-}
+// ---------------------------------------------------------------------------
+// Observers and dormant machinery leave a run bit-identical.
 
-TEST(QueueBackendDifferential, ZeroRateCorruptionMachineryIsBitExact) {
+TEST(ScenarioBitExactness, ZeroRateCorruptionMachineryIsBitExact) {
   // The integrity machinery at rate zero must be invisible: enabling the
   // corruption keys without any corruption source (no MTTC process, no
   // scripted strike, scrub off) makes no RNG draw and schedules no event,
   // so the metrics CSV and decision log are byte-identical to a run that
-  // never heard of corruption — on both queue backends.
-  const std::string base =
-      "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=8\nseed=5\n"
-      "classes=2\nclass1_goal_ms=60\n"
-      "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-      "fault_mttf_ms=30000\nfault_mttr_ms=5000\n";
-  const std::string with_keys = base + "corrupt=all\ncorrupt_latent=0.25\n";
-  for (const sim::QueueBackend backend :
-       {sim::QueueBackend::kCalendar, sim::QueueBackend::kLegacyHeap}) {
-    const std::optional<BackendRun> off = RunScenarioText(base, backend);
-    const std::optional<BackendRun> on = RunScenarioText(with_keys, backend);
-    ASSERT_TRUE(off.has_value() && on.has_value());
-    EXPECT_GT(off->events, 0u);
-    EXPECT_EQ(off->events, on->events);
-    EXPECT_EQ(off->metrics_csv, on->metrics_csv);
-    EXPECT_EQ(off->decision_jsonl, on->decision_jsonl);
-  }
+  // never heard of corruption.
+  const std::string base = CrashingCluster();
+  const std::optional<ScenarioRun> off = RunScenarioText(base);
+  const std::optional<ScenarioRun> on =
+      RunScenarioText(base + "corrupt=all\ncorrupt_latent=0.25\n");
+  ASSERT_TRUE(off.has_value() && on.has_value());
+  EXPECT_GT(off->events, 0u);
+  EXPECT_EQ(off->events, on->events);
+  EXPECT_EQ(off->metrics_csv, on->metrics_csv);
+  EXPECT_EQ(off->decision_jsonl, on->decision_jsonl);
 }
 
-TEST(QueueBackendDifferential, EnabledAttainmentTrackingIsBitExact) {
+TEST(ScenarioBitExactness, EnabledAttainmentTrackingIsBitExact) {
   // The attainment tracker is a pure observer: with tracking ENABLED the
   // simulation itself (event count, metrics CSV) must be byte-identical to
-  // a bare run, and the tracker's own outputs — budget rows, miss cards,
-  // and the decision log they annotate — must be byte-identical across the
-  // two queue backends. (Bare vs tracked decision logs are not compared:
-  // the tracked run legitimately adds miss-card fields to its records.)
-  const std::string text =
-      "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=8\nseed=5\n"
-      "classes=2\nclass1_goal_ms=60\n"
-      "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-      "fault_mttf_ms=30000\nfault_mttr_ms=5000\n";
-  std::vector<std::string> attainment_jsonl;
-  std::vector<std::string> decision_jsonl;
-  for (const sim::QueueBackend backend :
-       {sim::QueueBackend::kCalendar, sim::QueueBackend::kLegacyHeap}) {
-    const std::optional<BackendRun> bare = RunScenarioText(text, backend);
-    obs::AttainmentTracker tracker;
-    tracker.Enable(true);
-    const std::optional<BackendRun> tracked =
-        RunScenarioText(text, backend, &tracker);
-    ASSERT_TRUE(bare.has_value() && tracked.has_value());
-    EXPECT_GT(bare->events, 0u);
-    EXPECT_EQ(bare->events, tracked->events);
-    EXPECT_EQ(bare->metrics_csv, tracked->metrics_csv);
-    EXPECT_GT(tracker.requests_recorded(), 0u);
-    EXPECT_LE(tracker.max_sum_error(), 1e-9);
-
-    char* buf = nullptr;
-    size_t size = 0;
-    std::FILE* stream = open_memstream(&buf, &size);
-    tracker.WriteJsonl(stream);
-    std::fclose(stream);
-    attainment_jsonl.emplace_back(buf, size);
-    std::free(buf);
-    decision_jsonl.push_back(tracked->decision_jsonl);
-  }
-  EXPECT_FALSE(attainment_jsonl[0].empty());
-  EXPECT_EQ(attainment_jsonl[0], attainment_jsonl[1]);
-  EXPECT_EQ(decision_jsonl[0], decision_jsonl[1]);
-}
-
-TEST(QueueBackendDifferential, CorruptionAndScrubReplayIdentically) {
-  // Active corruption: a scripted multi-strike episode plus the stochastic
-  // MTTC process, with the idle-bandwidth scrubber running. Detection,
-  // quarantine, replica repair and scrub ticks must all replay
-  // byte-identically across backends.
-  ExpectBackendsAgree(
-      "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=8\nseed=5\n"
-      "classes=2\nclass1_goal_ms=60\n"
-      "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-      "corrupt=all\ncorrupt_latent=0.25\nfault_mttc_ms=4000\n"
-      "corrupt_node=1\ncorrupt_at_ms=1500\ncorrupt_count=3\ncorrupt_salt=9\n"
-      "scrub=idle\nscrub_interval_ms=500\naudit=1\n",
-      "corruption+scrub");
+  // a bare run. (Bare vs tracked decision logs are not compared: the
+  // tracked run legitimately adds miss-card fields to its records.) The
+  // tracker's own exports and the annotated decision log are pinned by the
+  // crashing+attainment golden.
+  const std::string text = CrashingCluster();
+  const std::optional<ScenarioRun> bare = RunScenarioText(text);
+  obs::AttainmentTracker tracker;
+  tracker.Enable(true);
+  const std::optional<ScenarioRun> tracked = RunScenarioText(text, &tracker);
+  ASSERT_TRUE(bare.has_value() && tracked.has_value());
+  EXPECT_GT(bare->events, 0u);
+  EXPECT_EQ(bare->events, tracked->events);
+  EXPECT_EQ(bare->metrics_csv, tracked->metrics_csv);
+  EXPECT_GT(tracker.requests_recorded(), 0u);
+  EXPECT_LE(tracker.max_sum_error(), 1e-9);
+  EXPECT_FALSE(tracked->attainment_jsonl.empty());
+  EXPECT_FALSE(tracked->attainment_csv.empty());
 }
 
 }  // namespace

@@ -1,65 +1,45 @@
-// Dense-vs-revised LP backend differential: every checked-in scenario file
-// replayed end to end through both simplex backends must make the same
-// control decisions. The two backends share nothing past the SimplexSolver
-// interface — full tableau vs LU-factorized revised method — so agreement
-// here pins the controller's observable behavior (page-rounded allocations,
-// interval metrics, LP mode ladder) to the LP itself rather than to one
-// implementation's floating-point quirks.
+// Revised-simplex vs dense-oracle differential on the controller's own
+// LPs. The production solver (la::SimplexSolver, revised simplex) and the
+// test-only dense tableau (tests/oracles/dense_simplex.h) share nothing but
+// the LinearProgram they read — full tableau vs LU-factorized revised
+// method — so agreement here pins the controller's decisions to the LP
+// itself rather than to one implementation's floating-point quirks.
 //
 // The raw LP solution is *not* required to be bit-identical: alternate
 // optima and last-ulp differences in interior coordinates are legal. What
-// must agree exactly is everything the cluster acts on — the shipped and
-// granted allocations after damping and frame rounding, and the metrics
-// CSV the whole downstream simulation derives from. The raw solutions must
-// still agree to 1e-9 relative, per the scaling issue's acceptance bar.
+// must agree exactly is what the cluster acts on — the mode ladder and the
+// page-rounded allocation — and the objectives must agree to 1e-9
+// relative. Whole-run determinism of the same scenarios is pinned by the
+// golden digests in bench_determinism_test.
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/config.h"
-#include "core/metrics.h"
 #include "core/optimizer.h"
 #include "core/scenario.h"
 #include "core/system.h"
 #include "core/variance_optimizer.h"
 #include "la/simplex.h"
 #include "obs/decision_log.h"
+#include "oracles/dense_simplex.h"
 
 namespace memgoal::core {
 namespace {
 
-std::string CsvOf(const MetricsLog& log) {
-  char* buf = nullptr;
-  size_t size = 0;
-  std::FILE* stream = open_memstream(&buf, &size);
-  log.WriteCsv(stream);
-  std::fclose(stream);
-  std::string csv(buf, size);
-  std::free(buf);
-  return csv;
-}
-
-struct LpRun {
-  std::string metrics_csv;
-  std::vector<obs::DecisionRecord> records;
-  uint64_t events = 0;
-};
-
-// One full scenario run with the given lp= backend appended (later scenario
-// lines override earlier ones).
-std::optional<LpRun> RunScenarioLp(const std::string& text,
-                                   const std::string& backend) {
+// One full scenario run; returns every controller decision record.
+std::optional<std::vector<obs::DecisionRecord>> RunScenarioRecords(
+    const std::string& text) {
   common::Config config;
-  if (!config.ParseText(text + "\nlp=" + backend + "\n")) {
+  if (!config.ParseText(text)) {
     ADD_FAILURE() << "bad scenario text: " << config.error();
     return std::nullopt;
   }
@@ -77,75 +57,36 @@ std::optional<LpRun> RunScenarioLp(const std::string& text,
   system.SetDecisionLog(&decision_log);
   system.Start();
   system.RunIntervals(scenario->intervals);
-
-  LpRun run;
-  run.metrics_csv = CsvOf(system.metrics());
-  run.records = decision_log.records();
-  run.events = system.simulator().events_processed();
-  return run;
+  return decision_log.records();
 }
 
-// Strips the fields that legitimately differ between backends: the warm
-// start bookkeeping (dense never exports a basis, so it never warms) and
-// the raw pre-rounding LP solution (compared separately, to tolerance).
-obs::DecisionRecord Normalized(obs::DecisionRecord record) {
-  record.lp_warm = false;
-  record.lp_warm_basis.clear();
-  record.lp_allocation.clear();
-  return record;
+std::string ScenarioFile(const std::string& name) {
+  const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
+  std::ifstream file(path);
+  EXPECT_TRUE(file.is_open()) << path;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
 }
 
-void ExpectLpBackendsAgree(const std::string& text, const std::string& what) {
-  const std::optional<LpRun> dense = RunScenarioLp(text, "dense");
-  const std::optional<LpRun> revised = RunScenarioLp(text, "revised");
-  ASSERT_TRUE(dense.has_value() && revised.has_value()) << what;
-  EXPECT_GT(dense->events, 0u) << what;
-  EXPECT_EQ(dense->events, revised->events) << what;
-  EXPECT_EQ(dense->metrics_csv, revised->metrics_csv) << what;
-
-  ASSERT_EQ(dense->records.size(), revised->records.size()) << what;
-  EXPECT_FALSE(dense->records.empty()) << what;
-  size_t lp_records = 0;
-  for (size_t i = 0; i < dense->records.size(); ++i) {
-    const obs::DecisionRecord& d = dense->records[i];
-    const obs::DecisionRecord& r = revised->records[i];
-    // Everything but the warm bookkeeping and raw LP point — including the
-    // mode ladder, relaxation rungs, status counts, and the shipped and
-    // granted byte vectors — must serialize identically.
-    ASSERT_EQ(Normalized(d).ToJson(), Normalized(r).ToJson())
-        << what << " record " << i;
-    ASSERT_EQ(d.lp_allocation.size(), r.lp_allocation.size())
-        << what << " record " << i;
-    for (size_t j = 0; j < d.lp_allocation.size(); ++j) {
-      const double tol = 1e-9 * std::max(1.0, std::fabs(d.lp_allocation[j]));
-      EXPECT_NEAR(d.lp_allocation[j], r.lp_allocation[j], tol)
-          << what << " record " << i << " node " << j;
-    }
-    if (d.lp_run) ++lp_records;
-  }
-  // The scenario actually exercised the optimizer.
-  EXPECT_GT(lp_records, 0u) << what;
+// The LP inputs a decision record logged.
+OptimizerInput InputOf(const obs::DecisionRecord& record) {
+  OptimizerInput input;
+  input.planes.grad_k = record.grad_k;
+  input.planes.intercept_k = record.intercept_k;
+  input.planes.grad_0 = record.grad_0;
+  input.planes.intercept_0 = record.intercept_0;
+  input.goal_rt = record.goal_rt;
+  input.upper_bounds = record.upper_bounds;
+  return input;
 }
 
-TEST(LpBackendDifferential, ScenarioFilesReplayIdentically) {
-  const std::vector<std::string> scenarios = {
-      "base.conf", "corrupt.conf", "faults.conf", "gray.conf",
-      "oltp_dss.conf", "partition.conf"};
-  for (const std::string& name : scenarios) {
-    const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
-    std::ifstream file(path);
-    ASSERT_TRUE(file.is_open()) << path;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    ExpectLpBackendsAgree(buffer.str() + "\nintervals=6\n", name);
-  }
-}
-
-TEST(LpBackendDifferential, LoggedDecisionsResolveIdenticallyOffline) {
-  // Second layer of the differential: take every LP the revised-backend run
-  // actually posed (planes, goal, bounds straight from the decision log),
-  // re-solve it offline through BOTH backends, and require the same mode,
-  // the same relaxation rung, objective agreement to 1e-9, and identical
+TEST(LpOracleDifferential, LoggedDecisionsResolveIdenticallyOffline) {
+  // Take every LP a run actually posed (planes, goal, bounds straight from
+  // the decision log) and pose each rung of SolvePartitioning's fallback
+  // chain — equality, inequality, each relaxed goal — to both solvers:
+  // same status on every rung, objectives within 1e-9 relative. Then the
+  // whole chain: same mode, same relaxation rung, and identical
   // allocations after the controller's page rounding. This checks the
   // solvers on the genuine production instances, decoupled from the
   // feedback loop (a near-miss at record 3 cannot hide behind identical
@@ -155,31 +96,35 @@ TEST(LpBackendDifferential, LoggedDecisionsResolveIdenticallyOffline) {
       "base.conf", "gray.conf", "oltp_dss.conf"};
   size_t replayed = 0;
   for (const std::string& name : scenarios) {
-    const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
-    std::ifstream file(path);
-    ASSERT_TRUE(file.is_open()) << path;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    // Longer horizon than the full-run differential: the measure store
-    // needs N+1 warm-up points before any check reaches the LP.
-    const std::optional<LpRun> run =
-        RunScenarioLp(buffer.str() + "\nintervals=16\n", "revised");
-    ASSERT_TRUE(run.has_value()) << name;
-    for (const obs::DecisionRecord& record : run->records) {
+    // The measure store needs N+1 warm-up points before any check reaches
+    // the LP.
+    const std::optional<std::vector<obs::DecisionRecord>> records =
+        RunScenarioRecords(ScenarioFile(name) + "\nintervals=16\n");
+    ASSERT_TRUE(records.has_value()) << name;
+    for (const obs::DecisionRecord& record : *records) {
       if (!record.lp_run || !record.has_planes) continue;
-      OptimizerInput input;
-      input.planes.grad_k = record.grad_k;
-      input.planes.intercept_k = record.intercept_k;
-      input.planes.grad_0 = record.grad_0;
-      input.planes.intercept_0 = record.intercept_0;
-      input.goal_rt = record.goal_rt;
-      input.upper_bounds = record.upper_bounds;
+      const OptimizerInput input = InputOf(record);
+      std::vector<std::pair<bool, double>> rungs = {
+          {true, input.goal_rt}, {false, input.goal_rt}};
+      for (const double rho : kGoalRelaxationLadder) {
+        rungs.emplace_back(false, input.goal_rt * (1.0 + rho));
+      }
+      for (const auto& [equality, goal_rt] : rungs) {
+        la::SimplexSolver solver =
+            PosePartitioningLp(input, equality, goal_rt);
+        const la::SimplexResult dense = la::SolveDense(solver.program());
+        const la::SimplexResult revised = solver.Solve();
+        ASSERT_EQ(dense.status, revised.status)
+            << name << " goal " << goal_rt << " equality " << equality;
+        if (dense.status != la::SimplexStatus::kOptimal) continue;
+        EXPECT_NEAR(dense.objective, revised.objective,
+                    1e-9 * std::max(1.0, std::fabs(dense.objective)))
+            << name << " goal " << goal_rt << " equality " << equality;
+      }
 
-      input.lp_backend = la::LpBackend::kDense;
-      const OptimizerOutput dense = SolvePartitioning(input);
-      input.lp_backend = la::LpBackend::kRevised;
+      const OptimizerOutput dense =
+          SolvePartitioningWith(input, la::SolveDenseRung);
       const OptimizerOutput revised = SolvePartitioning(input);
-
       EXPECT_EQ(dense.mode, revised.mode) << name;
       EXPECT_EQ(dense.relaxed_rung, revised.relaxed_rung) << name;
       const double tol =
@@ -197,32 +142,21 @@ TEST(LpBackendDifferential, LoggedDecisionsResolveIdenticallyOffline) {
   EXPECT_GT(replayed, 10u);
 }
 
-TEST(LpBackendDifferential, WarmStartedSolvesReplayBitForBit) {
+TEST(LpOracleDifferential, WarmStartedSolvesReplayBitForBit) {
   // The lp_warm_basis field's contract: a warm-started production solve is
   // reproducible offline by re-offering the logged basis. Replay every
-  // warm record of a revised-backend run and require the bit-identical
-  // allocation the controller logged.
-  const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + "base.conf";
-  std::ifstream file(path);
-  ASSERT_TRUE(file.is_open()) << path;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::optional<LpRun> run =
-      RunScenarioLp(buffer.str() + "\nintervals=8\n", "revised");
-  ASSERT_TRUE(run.has_value());
+  // warm record of a run and require the bit-identical allocation the
+  // controller logged.
+  const std::optional<std::vector<obs::DecisionRecord>> records =
+      RunScenarioRecords(ScenarioFile("base.conf") + "\nintervals=8\n");
+  ASSERT_TRUE(records.has_value());
   size_t warm_replayed = 0;
-  for (const obs::DecisionRecord& record : run->records) {
+  for (const obs::DecisionRecord& record : *records) {
     if (!record.lp_run || !record.has_planes || !record.lp_warm) continue;
     la::SimplexBasis basis;
     ASSERT_TRUE(la::SimplexBasis::FromText(record.lp_warm_basis, &basis));
     ASSERT_FALSE(basis.empty());
-    OptimizerInput input;
-    input.planes.grad_k = record.grad_k;
-    input.planes.intercept_k = record.intercept_k;
-    input.planes.grad_0 = record.grad_0;
-    input.planes.intercept_0 = record.intercept_0;
-    input.goal_rt = record.goal_rt;
-    input.upper_bounds = record.upper_bounds;
+    OptimizerInput input = InputOf(record);
     input.warm = &basis;
     const OptimizerOutput replayed = SolvePartitioning(input);
     EXPECT_EQ(OptimizerModeName(replayed.mode), record.lp_mode);
@@ -237,14 +171,14 @@ TEST(LpBackendDifferential, WarmStartedSolvesReplayBitForBit) {
   EXPECT_GT(warm_replayed, 0u);
 }
 
-TEST(LpBackendDifferential, VarianceObjectiveAgreesAcrossBackends) {
+TEST(LpOracleDifferential, VarianceObjectiveAgreesAcrossBackends) {
   // No committed scenario runs the §8 variance objective, so cover its
   // 2n-variable LP shape directly. The minimum-MAD face of this LP is
   // typically not a single vertex (sliding allocation between nodes whose
-  // dispersion terms are interior moves along an optimal edge), so the two
-  // backends may legally return different points; what must agree is the
-  // mode ladder and the objective — predicted mean and dispersion — plus
-  // feasibility of both points.
+  // dispersion terms are interior moves along an optimal edge), so the
+  // revised solver and the dense oracle may legally return different
+  // points; what must agree is the mode ladder and the objective —
+  // predicted mean and dispersion — plus feasibility of both points.
   for (const size_t n : {3u, 6u, 12u}) {
     VarianceOptimizerInput input;
     input.node_planes.resize(n);
@@ -255,7 +189,7 @@ TEST(LpBackendDifferential, VarianceObjectiveAgreesAcrossBackends) {
       input.node_planes[i].grad.assign(n, 0.0);
       input.node_planes[i].grad[i] = slope;
       // Strictly distinct intercepts: symmetric ties would admit alternate
-      // optima, where the backends may legally pick different vertices.
+      // optima, where the solvers may legally pick different vertices.
       input.node_planes[i].intercept = 20.0 + 1.7 * static_cast<double>(i);
       input.mean_grad[i] = slope / static_cast<double>(n);
       input.mean_intercept += input.node_planes[i].intercept /
@@ -263,14 +197,13 @@ TEST(LpBackendDifferential, VarianceObjectiveAgreesAcrossBackends) {
     }
     input.goal_rt = 18.0;
 
-    input.lp_backend = la::LpBackend::kDense;
-    const VarianceOptimizerOutput dense = SolveVariancePartitioning(input);
-    input.lp_backend = la::LpBackend::kRevised;
+    const VarianceOptimizerOutput dense =
+        SolveVariancePartitioningWith(input, la::SolveDenseRung);
     const VarianceOptimizerOutput revised = SolveVariancePartitioning(input);
 
     // This instance's goal is unreachable outright but reachable on the
     // relaxation ladder — at a deeper rung as n (and the zero-allocation
-    // mean) grows — so it exercises the full retry chain on both backends.
+    // mean) grows — so it exercises the full retry chain on both solvers.
     EXPECT_EQ(dense.mode, OptimizerMode::kGoalRelaxed) << "n=" << n;
     EXPECT_EQ(dense.mode, revised.mode) << "n=" << n;
     EXPECT_EQ(dense.relaxed_goal_rt, revised.relaxed_goal_rt) << "n=" << n;

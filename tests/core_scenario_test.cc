@@ -4,6 +4,8 @@
 
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config.h"
 
@@ -16,34 +18,76 @@ std::optional<Scenario> Load(const std::string& text, std::string* error) {
   return LoadScenario(config, error);
 }
 
-TEST(ScenarioTest, QueueNearMissGetsSuggestion) {
+TEST(ScenarioTest, BackendKeysAreNotRead) {
+  // The simulator has one event queue and one simplex: the keys that once
+  // picked between backends are unknown keys now, left for the caller's
+  // unused-key warning.
+  common::Config config;
+  ASSERT_TRUE(config.ParseText("queue=heap\nlp=dense\nclass1_goal_ms=50\n"));
   std::string error;
-  EXPECT_FALSE(Load("queue=calender\n", &error).has_value());
-  EXPECT_NE(error.find("queue must be calendar or heap"), std::string::npos)
-      << error;
-  EXPECT_NE(error.find("did you mean calendar?"), std::string::npos) << error;
+  ASSERT_TRUE(LoadScenario(config, &error).has_value()) << error;
+  EXPECT_EQ(config.UnusedKeys(), (std::vector<std::string>{"lp", "queue"}));
 }
 
-TEST(ScenarioTest, LpKeySelectsBackend) {
+TEST(ScenarioTest, PolicyNearMissGetsSuggestion) {
   std::string error;
-  std::optional<Scenario> scenario = Load("lp=dense\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  EXPECT_EQ(scenario->system.lp_backend, la::LpBackend::kDense);
-  scenario = Load("lp=revised\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  EXPECT_EQ(scenario->system.lp_backend, la::LpBackend::kRevised);
-  // Default is the revised solver.
-  scenario = Load("nodes=3\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  EXPECT_EQ(scenario->system.lp_backend, la::LpBackend::kRevised);
+  EXPECT_FALSE(Load("policy=lru_k\nclass1_goal_ms=50\n", &error).has_value());
+  EXPECT_NE(error.find("policy must be cost-based, lru, lru-k or fifo"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("did you mean lru-k?"), std::string::npos) << error;
 }
 
-TEST(ScenarioTest, LpNearMissGetsSuggestion) {
+TEST(ScenarioTest, ObjectiveNearMissGetsSuggestion) {
   std::string error;
-  EXPECT_FALSE(Load("lp=revized\n", &error).has_value());
-  EXPECT_NE(error.find("lp must be revised or dense"), std::string::npos)
+  EXPECT_FALSE(
+      Load("objective=varianse\nclass1_goal_ms=50\n", &error).has_value());
+  EXPECT_NE(error.find("objective must be nogoal or variance"),
+            std::string::npos)
       << error;
-  EXPECT_NE(error.find("did you mean revised?"), std::string::npos) << error;
+  EXPECT_NE(error.find("did you mean variance?"), std::string::npos) << error;
+}
+
+TEST(ScenarioTest, PolicyAndObjectiveKeysPopulateConfig) {
+  std::string error;
+  const std::optional<Scenario> scenario = Load(
+      "policy=lru-k\nobjective=variance\nclass1_goal_ms=50\n", &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  EXPECT_EQ(scenario->system.policy, cache::PolicyKind::kLruK);
+  EXPECT_EQ(scenario->system.objective,
+            PartitioningObjective::kMinimizeNodeVariance);
+}
+
+TEST(ScenarioTest, MalformedPageRangesAndNodeListsAreRejected) {
+  // Each of these once aborted the process: a non-numeric page or node
+  // (uncaught std::invalid_argument from std::stoul), or a range past the
+  // database truncated to 32 bits and tripping a check in AddClass.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"class1_pages=abc:10\n", "class1_pages must be begin:end"},
+      {"class1_pages=0:99999999999\n", "class1_pages must be begin:end"},
+      {"class1_pages=0:2001\n", "<= db_pages (2000)"},
+      {"class1_pages=10:10\n", "class1_pages must be begin:end"},
+      {"class1_pages=-1:10\n", "class1_pages must be begin:end"},
+      {"class1_pages=5:10x\n", "class1_pages must be begin:end"},
+      {"class1_share_prob=0.5\nclass1_shared_pages=0:3000\n",
+       "class1_shared_pages must be begin:end"},
+      {"partition_nodes=1,x\n", "partition_nodes entry 'x'"},
+      {"partition_nodes=1,3\n", "partition_nodes entry '3'"},
+      {"partition_nodes=0,,2\n", "partition_nodes entry ''"},
+  };
+  for (const auto& [text, message] : cases) {
+    std::string error;
+    EXPECT_FALSE(Load("class1_goal_ms=50\n" + text, &error).has_value())
+        << text;
+    EXPECT_NE(error.find(message), std::string::npos) << text << error;
+  }
+  // The boundary itself is fine.
+  std::string error;
+  EXPECT_TRUE(Load("class1_goal_ms=50\nclass1_pages=1000:2000\n"
+                   "partition_nodes=0,2\n",
+                   &error)
+                  .has_value())
+      << error;
 }
 
 TEST(ScenarioTest, HintBudgetKeyPopulatesConfig) {
@@ -76,7 +120,8 @@ TEST(ScenarioTest, ScrubNearMissGetsSuggestion) {
 
 TEST(ScenarioTest, FarFetchedEnumValueGetsNoSuggestion) {
   std::string error;
-  EXPECT_FALSE(Load("queue=fibonacci\n", &error).has_value());
+  EXPECT_FALSE(Load("policy=fibonacci\n", &error).has_value());
+  EXPECT_NE(error.find("policy must be"), std::string::npos) << error;
   EXPECT_EQ(error.find("did you mean"), std::string::npos) << error;
 }
 

@@ -1,13 +1,14 @@
-// Cross-checks of the revised simplex backend against the dense tableau
-// oracle and a brute-force vertex enumerator, plus the warm-start contract
-// (a re-solve seeded with the previous basis must reproduce the cold
-// solution). The corpus leans on small integer coefficients on purpose:
-// they manufacture primal and dual degeneracy (ties in the ratio test,
-// zero reduced costs at the optimum), which is exactly where a simplex
-// implementation breaks.
+// Cross-checks of the revised simplex against the dense tableau oracle
+// (tests/oracles/dense_simplex.h) and a brute-force vertex enumerator, plus
+// the warm-start contract (a re-solve seeded with the previous basis must
+// reproduce the cold solution). The corpus leans on small integer
+// coefficients on purpose: they manufacture primal and dual degeneracy
+// (ties in the ratio test, zero reduced costs at the optimum), which is
+// exactly where a simplex implementation breaks.
 
 #include "la/revised_simplex.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -16,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/optimizer.h"
 #include "la/gauss.h"
 #include "la/simplex.h"
+#include "oracles/dense_simplex.h"
 
 namespace memgoal::la {
 namespace {
@@ -37,9 +40,9 @@ struct Lp {
   Vector ub;  // kInf entries mean unbounded above
 };
 
-SimplexResult SolveWith(const Lp& lp, LpBackend backend,
-                        const SimplexBasis* warm = nullptr) {
-  SimplexSolver solver(lp.c.size(), backend);
+// Poses `lp` through SimplexSolver's public API.
+SimplexSolver Pose(const Lp& lp) {
+  SimplexSolver solver(lp.c.size());
   solver.SetObjective(lp.c, lp.minimize);
   for (size_t i = 0; i < lp.rows.size(); ++i) {
     switch (lp.rels[i]) {
@@ -57,7 +60,15 @@ SimplexResult SolveWith(const Lp& lp, LpBackend backend,
   for (size_t j = 0; j < lp.ub.size(); ++j) {
     if (lp.ub[j] < kInf) solver.SetUpperBound(j, lp.ub[j]);
   }
-  return solver.Solve(warm);
+  return solver;
+}
+
+SimplexResult SolveWith(const Lp& lp, const SimplexBasis* warm = nullptr) {
+  return Pose(lp).Solve(warm);
+}
+
+SimplexResult SolveOracle(const Lp& lp) {
+  return SolveDense(Pose(lp).program());
 }
 
 bool Feasible(const Lp& lp, const Vector& x, double tol) {
@@ -135,9 +146,9 @@ std::optional<double> BestVertexObjective(const Lp& lp) {
   }
 }
 
-void ExpectBackendsAgree(const Lp& lp) {
-  const SimplexResult dense = SolveWith(lp, LpBackend::kDense);
-  const SimplexResult revised = SolveWith(lp, LpBackend::kRevised);
+void ExpectOracleAgrees(const Lp& lp) {
+  const SimplexResult dense = SolveOracle(lp);
+  const SimplexResult revised = SolveWith(lp);
   ASSERT_EQ(dense.status, revised.status) << lp.name;
   if (dense.status != SimplexStatus::kOptimal) return;
   const double scale = 1.0 + std::fabs(dense.objective);
@@ -190,7 +201,7 @@ TEST(RevisedSimplexCorpus, DegenerateAndPathologicalInstancesAgree) {
       {"zero-row-infeasible", true, {1.0, 1.0},
        {{0.0, 0.0}}, {Rel::kGe}, {2.0}, {kInf, kInf}},
   };
-  for (const Lp& lp : corpus) ExpectBackendsAgree(lp);
+  for (const Lp& lp : corpus) ExpectOracleAgrees(lp);
 }
 
 TEST(RevisedSimplexOracle, RandomSmallInstancesMatchVertexEnumeration) {
@@ -218,8 +229,8 @@ TEST(RevisedSimplexOracle, RandomSmallInstancesMatchVertexEnumeration) {
     for (double& v : lp.ub) v = static_cast<double>(rng.UniformInt(1, 5));
 
     const std::optional<double> oracle = BestVertexObjective(lp);
-    const SimplexResult dense = SolveWith(lp, LpBackend::kDense);
-    const SimplexResult revised = SolveWith(lp, LpBackend::kRevised);
+    const SimplexResult dense = SolveOracle(lp);
+    const SimplexResult revised = SolveWith(lp);
     ASSERT_EQ(dense.status, revised.status) << "trial " << trial;
     if (oracle.has_value()) {
       ++optimal_seen;
@@ -258,16 +269,62 @@ Lp RandomPartitioningLp(common::Rng& rng, size_t n, bool equality) {
   return lp;
 }
 
+TEST(RevisedSimplexOracle, ProductionShapedPartitioningAgreesWithOracle) {
+  // The partitioning LP at the scale-out node counts: negative goal-plane
+  // gradients, positive no-goal costs, 2 MB per-node bounds, goals spread
+  // across the mode ladder (reachable, relaxable, unreachable). The whole
+  // fallback chain solved by the dense oracle and by SolvePartitioning
+  // must pick the same mode and relaxation rung, the same page-rounded
+  // allocation and an objective within 1e-9 relative. At n=256 this is
+  // the instance family that exposed the pricing tolerance documented at
+  // kPriceEps in revised_simplex.cc.
+  constexpr double kPage = 4096.0;
+  for (const size_t n : {16u, 64u, 256u}) {
+    // The stream seeds bench_scaling's former LP comparison used, so these
+    // are the instances EXPERIMENTS.md E8 reports.
+    common::Rng rng(common::DeriveStreamSeed(1, (3ull << 32) + 7 + n));
+    for (int trial = 0; trial < 10; ++trial) {
+      core::OptimizerInput input;
+      input.planes.grad_k.resize(n);
+      input.planes.grad_0.resize(n);
+      input.upper_bounds.assign(n, 2.0 * 1024 * 1024);
+      for (size_t i = 0; i < n; ++i) {
+        input.planes.grad_k[i] = -rng.Uniform(1e-7, 5e-6);
+        input.planes.grad_0[i] = rng.Uniform(1e-8, 1e-6);
+      }
+      input.planes.intercept_k = rng.Uniform(5.0, 30.0);
+      input.planes.intercept_0 = rng.Uniform(1.0, 5.0);
+      input.goal_rt = rng.Uniform(0.5, 25.0);
+
+      const core::OptimizerOutput dense =
+          core::SolvePartitioningWith(input, SolveDenseRung);
+      const core::OptimizerOutput revised = core::SolvePartitioning(input);
+      EXPECT_EQ(dense.mode, revised.mode) << "n=" << n << " trial " << trial;
+      EXPECT_EQ(dense.relaxed_rung, revised.relaxed_rung)
+          << "n=" << n << " trial " << trial;
+      const double scale = std::max(1.0, std::fabs(dense.predicted_rt_0));
+      EXPECT_LE(std::fabs(dense.predicted_rt_0 - revised.predicted_rt_0),
+                1e-9 * scale)
+          << "n=" << n << " trial " << trial;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::floor(dense.allocation[i] / kPage),
+                  std::floor(revised.allocation[i] / kPage))
+            << "n=" << n << " trial " << trial << " node " << i;
+      }
+    }
+  }
+}
+
 TEST(RevisedSimplexWarmStart, WarmEqualsColdOnIdenticalProgram) {
   common::Rng rng(77);
   for (int trial = 0; trial < 100; ++trial) {
     const size_t n = static_cast<size_t>(rng.UniformInt(2, 16));
     const Lp lp = RandomPartitioningLp(rng, n, trial % 2 == 0);
-    const SimplexResult cold = SolveWith(lp, LpBackend::kRevised);
+    const SimplexResult cold = SolveWith(lp);
     if (cold.status != SimplexStatus::kOptimal) continue;
     ASSERT_FALSE(cold.basis.empty()) << "trial " << trial;
     const SimplexResult warm =
-        SolveWith(lp, LpBackend::kRevised, &cold.basis);
+        SolveWith(lp, &cold.basis);
     ASSERT_EQ(warm.status, SimplexStatus::kOptimal) << "trial " << trial;
     // Same basis in, same program: the canonical cleanup makes the point a
     // pure function of the final basis, so the warm re-solve is exact.
@@ -290,12 +347,12 @@ TEST(RevisedSimplexWarmStart, WarmEqualsColdAfterRhsPerturbation) {
   for (int trial = 0; trial < 100; ++trial) {
     const size_t n = static_cast<size_t>(rng.UniformInt(2, 16));
     Lp lp = RandomPartitioningLp(rng, n, trial % 2 == 0);
-    const SimplexResult prev = SolveWith(lp, LpBackend::kRevised);
+    const SimplexResult prev = SolveWith(lp);
     if (prev.status != SimplexStatus::kOptimal) continue;
     lp.rhs[0] *= rng.Uniform(0.95, 1.05);
-    const SimplexResult cold = SolveWith(lp, LpBackend::kRevised);
+    const SimplexResult cold = SolveWith(lp);
     const SimplexResult warm =
-        SolveWith(lp, LpBackend::kRevised, &prev.basis);
+        SolveWith(lp, &prev.basis);
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
     if (cold.status != SimplexStatus::kOptimal) continue;
     const double tol = 1e-9 * (1.0 + std::fabs(cold.objective));
@@ -307,44 +364,32 @@ TEST(RevisedSimplexWarmStart, WarmEqualsColdAfterRhsPerturbation) {
 TEST(RevisedSimplexWarmStart, MismatchedBasisFallsBackToColdStart) {
   common::Rng rng(79);
   const Lp lp = RandomPartitioningLp(rng, 6, /*equality=*/true);
-  const SimplexResult cold = SolveWith(lp, LpBackend::kRevised);
+  const SimplexResult cold = SolveWith(lp);
   ASSERT_EQ(cold.status, SimplexStatus::kOptimal);
   // Wrong dimension: silently ignored.
   SimplexBasis wrong;
   wrong.status.assign(3, SimplexBasis::VarStatus::kAtLower);
-  const SimplexResult r1 = SolveWith(lp, LpBackend::kRevised, &wrong);
+  const SimplexResult r1 = SolveWith(lp, &wrong);
   EXPECT_EQ(r1.status, SimplexStatus::kOptimal);
   EXPECT_EQ(r1.objective, cold.objective);
   // Structurally absurd basis (everything basic): rejected, cold result.
   SimplexBasis absurd;
   absurd.status.assign(cold.basis.status.size(),
                        SimplexBasis::VarStatus::kBasic);
-  const SimplexResult r2 = SolveWith(lp, LpBackend::kRevised, &absurd);
+  const SimplexResult r2 = SolveWith(lp, &absurd);
   EXPECT_EQ(r2.status, SimplexStatus::kOptimal);
   EXPECT_EQ(r2.objective, cold.objective);
-}
-
-TEST(RevisedSimplexWarmStart, DenseBackendIgnoresWarmBasis) {
-  common::Rng rng(80);
-  const Lp lp = RandomPartitioningLp(rng, 5, /*equality=*/true);
-  const SimplexResult cold = SolveWith(lp, LpBackend::kDense);
-  SimplexBasis junk;
-  junk.status.assign(7, SimplexBasis::VarStatus::kAtUpper);
-  const SimplexResult warm = SolveWith(lp, LpBackend::kDense, &junk);
-  EXPECT_EQ(warm.status, cold.status);
-  EXPECT_EQ(warm.objective, cold.objective);
-  EXPECT_TRUE(warm.basis.empty());  // dense never exports a basis
 }
 
 TEST(RevisedSimplexIterationLimit, CapSurfacesAsDistinctStatus) {
   // A direct SolveRevised call with a tiny budget: the solve cannot finish,
   // and the outcome must be kIterationLimit — not infeasible, not
   // unbounded, and certainly not a crash.
-  RevisedLp lp;
+  LinearProgram lp;
   lp.num_vars = 3;
   lp.objective = {0.5, 1.0, 0.8};
   lp.rows = {{-2.0, -1.0, -3.0}};
-  lp.relations = {RevisedLp::Relation::kEq};
+  lp.relations = {LinearProgram::Relation::kEq};
   lp.rhs = {-12.0};
   lp.upper = {4.0, 4.0, 4.0};
   const SimplexResult limited = SolveRevised(lp, nullptr, /*max_iterations=*/1);

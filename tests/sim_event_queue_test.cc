@@ -1,15 +1,14 @@
 // Locks in the calendar-queue event core from sim/event_queue.h.
 //
 // Three layers of defense:
-//  1. Queue-level conformance: CalendarQueue and LegacyHeapQueue are driven
-//     through identical randomized insert/pop schedules and must pop the
-//     same nodes in the same order as a sorted reference model — including
-//     duplicate timestamps, zero delays and far-future times that overflow
-//     the day ordinal.
-//  2. Simulator-level properties on BOTH backends: FIFO at equal
-//     timestamps, monotone Now(), Run/RunUntil/Step interleaving, and a
-//     golden fingerprint of a synthetic schedule's execution order (any
-//     reordering regression changes the fingerprint).
+//  1. Queue-level conformance: CalendarQueue is driven through randomized
+//     insert/pop schedules and must pop the same nodes in the same order as
+//     a sorted reference model — including duplicate timestamps, zero
+//     delays and far-future times that overflow the day ordinal.
+//  2. Simulator-level properties: FIFO at equal timestamps, monotone Now(),
+//     Run/RunUntil/Step interleaving, and a golden fingerprint of a
+//     synthetic schedule's execution order (any reordering regression
+//     changes the fingerprint).
 //  3. Arena lifetime: destroying a Simulator mid-run with suspended
 //     coroutines and pending events must destroy every callable and frame
 //     exactly once (ASan/UBSan validate this in the sanitizer preset), and
@@ -49,7 +48,7 @@ namespace {
 
 // Reference model: the queue contract in its most obvious form — a vector
 // kept sorted by (time, seq). Deliberately naive; any disagreement is a
-// backend bug.
+// calendar-queue bug.
 class ReferenceModel {
  public:
   void Insert(EventNode* node) {
@@ -70,15 +69,13 @@ class ReferenceModel {
   std::vector<EventNode*> nodes_;
 };
 
-// Drives the backend under test and the reference model through one
-// schedule of operations, asserting identical pop order throughout.
+// Drives the calendar queue and the reference model through one schedule
+// of operations, asserting identical pop order throughout.
 //
 // Nodes never carry callables here — the queue layer only orders headers;
 // callable lifetime is the simulator's business (tested below).
-class QueueConformance : public ::testing::TestWithParam<QueueBackend> {
+class QueueConformance : public ::testing::Test {
  protected:
-  QueueConformance() : queue_(MakeEventQueue(GetParam())) {}
-
   EventNode* MakeNode(SimTime time) {
     auto node = std::make_unique<EventNode>();
     node->time = time;
@@ -89,41 +86,40 @@ class QueueConformance : public ::testing::TestWithParam<QueueBackend> {
 
   void InsertBoth(SimTime time) {
     EventNode* node = MakeNode(time);
-    queue_->Insert(node);
+    queue_.Insert(node);
     model_.Insert(node);
   }
 
   // Pops from both and asserts they agree; returns false when both empty.
   bool PopBothAndCompare() {
     EventNode* expected = model_.PopMin();
-    EventNode* actual = queue_->PopMin();
+    EventNode* actual = queue_.PopMin();
     EXPECT_EQ(expected, actual)
-        << "backend " << static_cast<int>(GetParam()) << " diverged: model "
-        << (expected ? expected->time : -1.0) << "/"
-        << (expected ? expected->seq : 0) << " vs queue "
+        << "queue diverged: model " << (expected ? expected->time : -1.0)
+        << "/" << (expected ? expected->seq : 0) << " vs queue "
         << (actual ? actual->time : -1.0) << "/" << (actual ? actual->seq : 0);
     return actual != nullptr;
   }
 
   std::vector<std::unique_ptr<EventNode>> nodes_;
-  std::unique_ptr<EventQueue> queue_;
+  CalendarQueue queue_;
   ReferenceModel model_;
   uint64_t next_seq_ = 0;
 };
 
-TEST_P(QueueConformance, EmptyQueueReturnsNull) {
-  EXPECT_EQ(queue_->PeekMin(), nullptr);
-  EXPECT_EQ(queue_->PopMin(), nullptr);
-  EXPECT_EQ(queue_->size(), 0u);
+TEST_F(QueueConformance, EmptyQueueReturnsNull) {
+  EXPECT_EQ(queue_.PeekMin(), nullptr);
+  EXPECT_EQ(queue_.PopMin(), nullptr);
+  EXPECT_EQ(queue_.size(), 0u);
 }
 
-TEST_P(QueueConformance, DuplicateTimestampsPopInSeqOrder) {
+TEST_F(QueueConformance, DuplicateTimestampsPopInSeqOrder) {
   for (int i = 0; i < 100; ++i) InsertBoth(5.0);
   for (int i = 0; i < 50; ++i) InsertBoth(1.0);
   uint64_t last_seq = 0;
   SimTime last_time = -1.0;
-  while (queue_->size() > 0) {
-    EventNode* node = queue_->PeekMin();
+  while (queue_.size() > 0) {
+    EventNode* node = queue_.PeekMin();
     ASSERT_TRUE(PopBothAndCompare());
     if (node->time == last_time) {
       EXPECT_GT(node->seq, last_seq);
@@ -134,7 +130,7 @@ TEST_P(QueueConformance, DuplicateTimestampsPopInSeqOrder) {
   }
 }
 
-TEST_P(QueueConformance, FarFutureTimesStayOrdered) {
+TEST_F(QueueConformance, FarFutureTimesStayOrdered) {
   // Times whose day ordinal saturates kMaxDay must still order among
   // themselves and after every near-term event.
   InsertBoth(1e305);
@@ -145,21 +141,21 @@ TEST_P(QueueConformance, FarFutureTimesStayOrdered) {
   InsertBoth(1e300);
   while (PopBothAndCompare()) {
   }
-  EXPECT_EQ(queue_->size(), 0u);
+  EXPECT_EQ(queue_.size(), 0u);
 }
 
-TEST_P(QueueConformance, PeekMatchesPop) {
+TEST_F(QueueConformance, PeekMatchesPop) {
   for (int i = 0; i < 64; ++i) InsertBoth(static_cast<SimTime>(i % 7));
-  while (queue_->size() > 0) {
-    EventNode* peeked = queue_->PeekMin();
+  while (queue_.size() > 0) {
+    EventNode* peeked = queue_.PeekMin();
     EXPECT_EQ(peeked, model_.PeekMin());
-    EventNode* popped = queue_->PopMin();
+    EventNode* popped = queue_.PopMin();
     EXPECT_EQ(peeked, popped);
     model_.PopMin();
   }
 }
 
-TEST_P(QueueConformance, RandomizedInterleaveMatchesModel) {
+TEST_F(QueueConformance, RandomizedInterleaveMatchesModel) {
   // Chaos-style fuzz: random mixture of inserts (clustered, uniform, zero,
   // and occasionally far-future times) and pops, with the time base
   // advancing like a simulation clock so the calendar's cursor must both
@@ -168,7 +164,7 @@ TEST_P(QueueConformance, RandomizedInterleaveMatchesModel) {
   SimTime now = 0.0;
   for (int round = 0; round < 4000; ++round) {
     const double action = rng.NextDouble();
-    if (action < 0.55 || queue_->size() == 0) {
+    if (action < 0.55 || queue_.size() == 0) {
       const double shape = rng.NextDouble();
       SimTime when;
       if (shape < 0.3) {
@@ -183,17 +179,17 @@ TEST_P(QueueConformance, RandomizedInterleaveMatchesModel) {
       InsertBoth(when);
     } else {
       EventNode* expected_peek = model_.PeekMin();
-      ASSERT_EQ(queue_->PeekMin(), expected_peek);
+      ASSERT_EQ(queue_.PeekMin(), expected_peek);
       ASSERT_TRUE(PopBothAndCompare());
       now = std::max(now, expected_peek->time);
     }
-    ASSERT_EQ(queue_->size(), model_.size());
+    ASSERT_EQ(queue_.size(), model_.size());
   }
   while (PopBothAndCompare()) {
   }
 }
 
-TEST_P(QueueConformance, ReinsertionAfterPopRefiles) {
+TEST_F(QueueConformance, ReinsertionAfterPopRefiles) {
   // A popped node reinserted at a later time (the simulator never does
   // this, but the queue contract allows it) must be refiled correctly:
   // day/next are recomputed on every Insert.
@@ -203,32 +199,21 @@ TEST_P(QueueConformance, ReinsertionAfterPopRefiles) {
   }
   for (int i = 0; i < 500; ++i) {
     EventNode* node = model_.PopMin();
-    ASSERT_EQ(queue_->PopMin(), node);
+    ASSERT_EQ(queue_.PopMin(), node);
     node->time += rng.NextDouble() * 50.0;
     node->seq = next_seq_++;
-    queue_->Insert(node);
+    queue_.Insert(node);
     model_.Insert(node);
   }
   while (PopBothAndCompare()) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, QueueConformance,
-                         ::testing::Values(QueueBackend::kCalendar,
-                                           QueueBackend::kLegacyHeap),
-                         [](const auto& info) {
-                           return info.param == QueueBackend::kCalendar
-                                      ? "Calendar"
-                                      : "LegacyHeap";
-                         });
-
 // ---------------------------------------------------------------------------
-// Layer 2: simulator-level properties on both backends.
+// Layer 2: simulator-level properties.
 
-class SimulatorBackend : public ::testing::TestWithParam<QueueBackend> {};
-
-TEST_P(SimulatorBackend, ZeroDelayYieldsToAlreadyScheduledEvents) {
-  Simulator simulator(GetParam());
+TEST(SimulatorOrder, ZeroDelayYieldsToAlreadyScheduledEvents) {
+  Simulator simulator;
   std::vector<int> order;
   simulator.Schedule(0.0, [&] {
     order.push_back(1);
@@ -242,10 +227,10 @@ TEST_P(SimulatorBackend, ZeroDelayYieldsToAlreadyScheduledEvents) {
   EXPECT_DOUBLE_EQ(simulator.Now(), 0.0);
 }
 
-TEST_P(SimulatorBackend, FifoAtSameTimestampAcrossMixedSources) {
+TEST(SimulatorOrder, FifoAtSameTimestampAcrossMixedSources) {
   // Callback events and coroutine resumes scheduled for one timestamp fire
   // in scheduling order regardless of how they were scheduled.
-  Simulator simulator(GetParam());
+  Simulator simulator;
   std::vector<int> order;
   auto process = [](Simulator* sim, std::vector<int>* out,
                     int tag) -> Task<void> {
@@ -260,8 +245,8 @@ TEST_P(SimulatorBackend, FifoAtSameTimestampAcrossMixedSources) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST_P(SimulatorBackend, NowIsMonotoneThroughRandomizedSchedule) {
-  Simulator simulator(GetParam());
+TEST(SimulatorOrder, NowIsMonotoneThroughRandomizedSchedule) {
+  Simulator simulator;
   common::Rng rng(0xBADCAFEu);
   SimTime last_seen = 0.0;
   uint64_t fired = 0;
@@ -289,12 +274,12 @@ TEST_P(SimulatorBackend, NowIsMonotoneThroughRandomizedSchedule) {
   EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
-TEST_P(SimulatorBackend, StepRunUntilRunInterleaveAgrees) {
+TEST(SimulatorOrder, StepRunUntilRunInterleaveAgrees) {
   // The same schedule executed three ways — pure Run(), RunUntil slices,
   // and Step-by-Step — must fire events in the same order at the same
   // times.
-  auto record = [&](QueueBackend backend, int mode) {
-    Simulator simulator(backend);
+  auto record = [&](int mode) {
+    Simulator simulator;
     std::vector<std::pair<double, int>> log;
     common::Rng rng(99u);
     for (int i = 0; i < 200; ++i) {
@@ -317,9 +302,9 @@ TEST_P(SimulatorBackend, StepRunUntilRunInterleaveAgrees) {
     EXPECT_EQ(simulator.pending_events(), 0u);
     return log;
   };
-  const auto pure = record(GetParam(), 0);
-  EXPECT_EQ(record(GetParam(), 1), pure);
-  EXPECT_EQ(record(GetParam(), 2), pure);
+  const auto pure = record(0);
+  EXPECT_EQ(record(1), pure);
+  EXPECT_EQ(record(2), pure);
   ASSERT_EQ(pure.size(), 200u);
 }
 
@@ -333,8 +318,8 @@ uint64_t Fnv1a(uint64_t hash, uint64_t value) {
   return hash;
 }
 
-uint64_t SyntheticScheduleFingerprint(QueueBackend backend) {
-  Simulator simulator(backend);
+uint64_t SyntheticScheduleFingerprint() {
+  Simulator simulator;
   common::Rng rng(0x600DF00Du);
   uint64_t fingerprint = 0xCBF29CE484222325ull;
   auto note = [&](int tag) {
@@ -372,27 +357,16 @@ uint64_t SyntheticScheduleFingerprint(QueueBackend backend) {
 }
 
 TEST(EventOrderGolden, SyntheticScheduleFingerprintIsPinned) {
-  // Golden fingerprint of the synthetic schedule above. Both backends must
-  // produce it. If an intentional ordering change lands (there is exactly
-  // one correct order under the (time, seq) contract, so think twice),
-  // re-pin with the value printed on failure.
+  // Golden fingerprint of the synthetic schedule above, pinned when the
+  // calendar queue and a binary heap still agreed on it. If an intentional
+  // ordering change lands (there is exactly one correct order under the
+  // (time, seq) contract, so think twice), re-pin with the value printed
+  // on failure.
   constexpr uint64_t kGolden = 0x021AB8773EB1AAA7ull;
-  const uint64_t calendar =
-      SyntheticScheduleFingerprint(QueueBackend::kCalendar);
-  const uint64_t heap = SyntheticScheduleFingerprint(QueueBackend::kLegacyHeap);
-  EXPECT_EQ(calendar, heap);
-  EXPECT_EQ(calendar, kGolden)
-      << "event order changed; new fingerprint 0x" << std::hex << calendar;
+  const uint64_t fingerprint = SyntheticScheduleFingerprint();
+  EXPECT_EQ(fingerprint, kGolden)
+      << "event order changed; new fingerprint 0x" << std::hex << fingerprint;
 }
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, SimulatorBackend,
-                         ::testing::Values(QueueBackend::kCalendar,
-                                           QueueBackend::kLegacyHeap),
-                         [](const auto& info) {
-                           return info.param == QueueBackend::kCalendar
-                                      ? "Calendar"
-                                      : "LegacyHeap";
-                         });
 
 // ---------------------------------------------------------------------------
 // Layer 3: arena and frame lifetime. Run these under the asan-ubsan preset:

@@ -45,8 +45,6 @@
 //   audit (0)                        — run the invariant auditor every
 //                                      interval; violations fail the run
 //   crash_detect_timeout_ms (2.0),
-//   queue (calendar | heap)          — event-queue backend (heap is the
-//                                      reference bit-identical legacy core)
 //   classes (2)                      — total class count including class 0
 //
 // Observability outputs (also accepted as --trace-out=..., --decision-log=...
