@@ -263,11 +263,17 @@ void Node::AfterInsert(PageId page) {
   }
 }
 
-sim::Task<void> Node::UseCpu(double instructions,
-                             sim::Resource::UseTiming* timing) {
+sim::Task<void> Node::UseCpu(double instructions, obs::RequestProbe* probe) {
   // Use() applies the node's current slowdown factor, so a degraded node's
   // CPU work stretches along with its disk and network latency.
-  co_await cpu_.Use(system_->config().CpuMs(instructions), timing);
+  const sim::SimTime queued = system_->simulator().Now();
+  const sim::SimTime acquired =
+      co_await cpu_.Use(system_->config().CpuMs(instructions));
+  if (probe != nullptr) {
+    probe->Span(obs::BudgetPhase::kCpuWait, queued, acquired - queued);
+    probe->Span(obs::BudgetPhase::kCpuService, acquired,
+                system_->simulator().Now() - acquired);
+  }
 }
 
 bool Node::CrashedSince(uint64_t epoch) const {
@@ -347,55 +353,22 @@ sim::Task<void> Node::FetchPhaseTimer(std::shared_ptr<FetchState> state,
 }
 
 sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
-                                         obs::RequestBudget* budget) {
+                                         obs::RequestProbe* probe) {
   const SystemConfig& config = system_->config();
   net::Network& network = system_->network();
   net::PageDirectory& directory = system_->directory();
   const uint64_t start_epoch = system_->NodeEpoch(id_);
 
-  // Per-phase latency attribution. Only waits on the requester's own stack
-  // are attributed here; spawned fetch attempts fall under kFetchWait (the
-  // wall-clock window the requester spent waiting on deliveries). Timing
-  // out-params are pure Now() reads — no events, no RNG — so a budgeted run
-  // stays bit-identical to an unbudgeted one.
-  sim::Resource::UseTiming cpu_timing;
-  sim::Resource::UseTiming* const cpu_out =
-      budget != nullptr ? &cpu_timing : nullptr;
-  const auto fold_cpu = [&] {
-    if (budget != nullptr) {
-      budget->Add(obs::BudgetPhase::kCpuWait, cpu_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kCpuService, cpu_timing.service_ms);
-    }
-  };
-
-  // Request spans: one trace track per page access, phases as sub-spans.
-  // When no tracer is attached or it is disabled, every emission below
-  // reduces to this one bool test.
-  obs::Tracer* tracer = system_->tracer();
-  const bool tracing = tracer != nullptr && tracer->enabled();
-  const uint64_t track = tracing ? tracer->NextTrack() : 0;
-  const sim::SimTime access_start = system_->simulator().Now();
-  const auto emit_access_span = [&](StorageLevel level) {
-    char args[96];
-    std::snprintf(args, sizeof(args),
-                  "{\"class\":%u,\"page\":%u,\"level\":\"%s\"}",
-                  static_cast<unsigned>(klass), static_cast<unsigned>(page),
-                  StorageLevelName(level));
-    tracer->Complete("access", "access", id_, track, access_start,
-                     system_->simulator().Now(), args);
-  };
-
+  // Only waits on the requester's own stack reach the probe; spawned fetch
+  // attempts fall under kFetchWait (the window the requester spent waiting
+  // on deliveries).
+  if (probe != nullptr) probe->BeginAccess(system_->simulator().Now());
   RecordAccessHeat(klass, page);
-  co_await UseCpu(config.instr_buffer_access, cpu_out);
+  co_await UseCpu(config.instr_buffer_access, probe);
   if (CrashedSince(start_epoch)) co_return StorageLevel::kLocalBuffer;
 
   cache::NodeCache::AccessResult access = cache_->OnAccess(klass, page);
   HandleDrops(access.dropped);
-  if (tracing) {
-    tracer->Complete("cache_probe", "access", id_, track, access_start,
-                     system_->simulator().Now(),
-                     access.hit ? "{\"hit\":true}" : "{\"hit\":false}");
-  }
   if (access.hit) {
     // Verify-on-read: a detectably corrupt frame is quarantined and the
     // access falls through to the fetch path below — the repair ladder for
@@ -418,13 +391,16 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     }
     if (serve_local) {
       system_->CountAccess(klass, StorageLevel::kLocalBuffer);
-      if (tracing) emit_access_span(StorageLevel::kLocalBuffer);
-      fold_cpu();
+      if (probe != nullptr) {
+        probe->EndAccess(system_->simulator().Now(), klass, page,
+                         StorageLevelName(StorageLevel::kLocalBuffer),
+                         /*hit=*/true);
+      }
       co_return StorageLevel::kLocalBuffer;
     }
   }
 
-  co_await UseCpu(config.instr_io_setup, cpu_out);
+  co_await UseCpu(config.instr_io_setup, probe);
   const NodeId home = system_->database().HomeOf(page);
   const uint32_t page_msg = config.page_bytes + config.page_header_bytes;
   StorageLevel level;
@@ -444,11 +420,9 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
   // so a dead home's pages stay readable from its disk at remote-disk cost.
   net::PageDirectory::CopyList candidates;
   directory.RankedCopies(page, id_, &candidates);
-  if (tracing) {
-    char args[48];
-    std::snprintf(args, sizeof(args), "{\"copies\":%zu}", candidates.size());
-    tracer->Instant("dir_lookup", "access", id_, track,
-                    system_->simulator().Now(), args);
+  if (probe != nullptr) {
+    probe->Instant("dir_lookup", system_->simulator().Now(), "copies",
+                   candidates.size());
   }
   auto state = std::allocate_shared<FetchState>(
       sim::FramePoolAllocator<FetchState>());
@@ -458,12 +432,8 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
   for (size_t phase = 0; phase < max_attempts && !state->delivered;
        ++phase) {
     const NodeId target = candidates[phase];
-    if (tracing && phase > 0) {
-      char args[48];
-      std::snprintf(args, sizeof(args), "{\"target\":%u}",
-                    static_cast<unsigned>(target));
-      tracer->Instant("hedge", "access", id_, track,
-                      system_->simulator().Now(), args);
+    if (probe != nullptr && phase > 0) {
+      probe->Instant("hedge", system_->simulator().Now(), "target", target);
     }
     state->phase_events.push_back(
         std::make_unique<sim::Event>(&system_->simulator()));
@@ -477,25 +447,16 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     if (!state->delivered) {
       ++failed_attempts;
       system_->RecordFetchTimeout(target, config.crash_detect_timeout_ms);
-      if (tracing) {
-        char args[48];
-        std::snprintf(args, sizeof(args), "{\"target\":%u}",
-                      static_cast<unsigned>(target));
-        tracer->Instant("fetch_timeout", "access", id_, track,
-                        system_->simulator().Now(), args);
+      if (probe != nullptr) {
+        probe->Instant("fetch_timeout", system_->simulator().Now(), "target",
+                       target);
       }
     }
   }
   state->wake = nullptr;
   state->abandoned = !state->delivered;
-  if (tracing && max_attempts > 0) {
-    tracer->Complete("fetch_wait", "access", id_, track, state->started_ms,
-                     system_->simulator().Now(),
-                     state->delivered ? "{\"delivered\":true}"
-                                      : "{\"delivered\":false}");
-  }
-  if (budget != nullptr) {
-    budget->Add(obs::BudgetPhase::kFetchWait,
+  if (probe != nullptr && max_attempts > 0) {
+    probe->Span(obs::BudgetPhase::kFetchWait, state->started_ms,
                 system_->simulator().Now() - state->started_ms);
   }
 
@@ -504,32 +465,24 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     fetched_flaw = state->flaw;
   } else {
     if (failed_attempts > 0) {
-      // Deadline(s) expired: brief exponential backoff, then the disk.
+      // Deadline(s) expired: brief exponential backoff, then the disk. It
+      // gives a slow peer that answered just after the deadline a moment to
+      // stop thrashing the requester, without stalling the crash case.
+      static constexpr double kFetchBackoffBaseMs = 0.5;
+      static constexpr double kFetchBackoffMaxMs = 8.0;
       const double backoff =
-          std::min(config.fetch_backoff_base_ms *
-                       std::pow(2.0, failed_attempts - 1),
-                   config.fetch_backoff_max_ms);
+          std::min(kFetchBackoffBaseMs * std::pow(2.0, failed_attempts - 1),
+                   kFetchBackoffMaxMs);
       const sim::SimTime backoff_start = system_->simulator().Now();
       co_await system_->simulator().Delay(backoff);
-      if (tracing) {
-        tracer->Complete("backoff", "access", id_, track, backoff_start,
-                         system_->simulator().Now());
-      }
-      if (budget != nullptr) {
-        budget->Add(obs::BudgetPhase::kBackoff,
+      if (probe != nullptr) {
+        probe->Span(obs::BudgetPhase::kBackoff, backoff_start,
                     system_->simulator().Now() - backoff_start);
       }
       system_->CountFetchFallback(klass);
     }
-    sim::Resource::UseTiming disk_timing;
-    sim::Resource::UseTiming* const disk_out =
-        budget != nullptr ? &disk_timing : nullptr;
-    net::Network::TransferTiming net_timing;
-    net::Network::TransferTiming* const net_out =
-        budget != nullptr ? &net_timing : nullptr;
-    const sim::SimTime disk_start = system_->simulator().Now();
     if (home == id_) {
-      co_await disk_.ReadPage(disk_out);
+      co_await disk_.ReadPage(probe);
       fetched_flaw = co_await system_->VerifyDiskRead(page);
       level = StorageLevel::kLocalDisk;
     } else {
@@ -541,38 +494,26 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
         const bool home_alive = system_->NodeUp(home);
         const bool asked = co_await network.Transfer(
             id_, home, config.control_msg_bytes, net::TrafficClass::kControl,
-            /*via_storage_bus=*/false, net_out);
+            /*via_storage_bus=*/false, probe);
         if (!asked || !home_alive || !system_->NodeUp(home)) {
-          co_await system_->simulator().Delay(config.crash_detect_timeout_ms);
-          if (budget != nullptr) {
-            budget->Add(obs::BudgetPhase::kFetchWait,
+          if (probe != nullptr) {
+            probe->Span(obs::BudgetPhase::kFetchWait,
+                        system_->simulator().Now(),
                         config.crash_detect_timeout_ms);
           }
+          co_await system_->simulator().Delay(config.crash_detect_timeout_ms);
           system_->CountFetchFallback(klass);
         }
       }
-      co_await system_->node(home).disk().ReadPage(disk_out);
+      co_await system_->node(home).disk().ReadPage(probe);
       fetched_flaw = co_await system_->VerifyDiskRead(page);
       // The NOW's disks are dual-ported: the page travels over the storage
       // bus, which a LAN partition does not sever. Bandwidth/queueing of the
       // shared medium still applies.
       co_await network.Transfer(home, id_, page_msg,
                                 net::TrafficClass::kPage,
-                                /*via_storage_bus=*/true, net_out);
+                                /*via_storage_bus=*/true, probe);
       level = StorageLevel::kRemoteDisk;
-    }
-    if (budget != nullptr) {
-      budget->Add(obs::BudgetPhase::kDiskWait, disk_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kDiskService, disk_timing.service_ms);
-      budget->Add(obs::BudgetPhase::kNetWait, net_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kNetTransfer, net_timing.transfer_ms);
-    }
-    if (tracing) {
-      char args[48];
-      std::snprintf(args, sizeof(args), "{\"home\":%u}",
-                    static_cast<unsigned>(home));
-      tracer->Complete("disk_read", "access", id_, track, disk_start,
-                       system_->simulator().Now(), args);
     }
   }
 
@@ -607,8 +548,10 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     ++system_->latent_served_;
   }
   system_->CountAccess(klass, level);
-  if (tracing) emit_access_span(level);
-  fold_cpu();
+  if (probe != nullptr) {
+    probe->EndAccess(system_->simulator().Now(), klass, page,
+                     StorageLevelName(level), access.hit);
+  }
   co_return level;
 }
 
@@ -630,12 +573,6 @@ ClusterSystem::ClusterSystem(const SystemConfig& config)
   MEMGOAL_CHECK(config.corrupt_latent_fraction >= 0.0 &&
                 config.corrupt_latent_fraction <= 1.0);
   MEMGOAL_CHECK(config.scrub_interval_ms >= 0.0);
-  MEMGOAL_CHECK(config.fetch_backoff_base_ms >= 0.0);
-  MEMGOAL_CHECK(config.fetch_backoff_max_ms >= config.fetch_backoff_base_ms);
-  MEMGOAL_CHECK(config.health_ewma_alpha > 0.0 &&
-                config.health_ewma_alpha <= 1.0);
-  MEMGOAL_CHECK(config.health_recovery_decay >= 0.0 &&
-                config.health_recovery_decay <= 1.0);
   nodes_.reserve(config.num_nodes);
   for (NodeId i = 0; i < config.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(this, i));
@@ -714,6 +651,14 @@ void ClusterSystem::SetTracer(obs::Tracer* tracer) {
       tracer->SetProcessName(i, "node" + std::to_string(i));
     }
   }
+}
+
+std::optional<obs::RequestProbe> ClusterSystem::MakeRequestProbe(
+    NodeId node, obs::RequestBudget* budget) const {
+  obs::Tracer* const tracer =
+      tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
+  if (budget == nullptr && tracer == nullptr) return std::nullopt;
+  return obs::RequestProbe(budget, tracer, node);
 }
 
 void ClusterSystem::SetIntervalCallback(IntervalCallback callback) {
@@ -826,8 +771,11 @@ void ClusterSystem::HandleNodeRestore(NodeId node) {
 }
 
 void ClusterSystem::RecordFetchLatency(NodeId node, double latency_ms) {
-  const double a = config_.health_ewma_alpha;
-  health_ewma_[node] = (1.0 - a) * health_ewma_[node] + a * latency_ms;
+  // EWMA smoothing of the health score used for replica ranking and
+  // hedging (higher alpha = faster reaction).
+  constexpr double kHealthEwmaAlpha = 0.2;
+  health_ewma_[node] = (1.0 - kHealthEwmaAlpha) * health_ewma_[node] +
+                       kHealthEwmaAlpha * latency_ms;
   directory_.SetNodeCost(node, health_ewma_[node]);
 }
 
@@ -840,9 +788,12 @@ void ClusterSystem::RecordFetchTimeout(NodeId node, double waited_ms) {
 }
 
 void ClusterSystem::DecayHealth(NodeId node) {
+  // Fraction of the gap back to the cost-model baseline the score recovers
+  // per restore/recover event (forgiveness after an episode).
+  constexpr double kHealthRecoveryDecay = 0.25;
   const double baseline = cost_model_.remote_buffer_ms;
   health_ewma_[node] +=
-      config_.health_recovery_decay * (baseline - health_ewma_[node]);
+      kHealthRecoveryDecay * (baseline - health_ewma_[node]);
   directory_.SetNodeCost(node, health_ewma_[node]);
 }
 
@@ -1192,9 +1143,9 @@ sim::Task<void> ClusterSystem::RunOperation(
   obs::AttainmentTracker* const attainment = attainment_;
   const bool budgeting = attainment != nullptr && attainment->enabled();
   obs::RequestBudget budget;
+  auto probe = MakeRequestProbe(node, budgeting ? &budget : nullptr);
   for (PageId page : pages) {
-    co_await nodes_[node]->AccessPage(klass, page,
-                                      budgeting ? &budget : nullptr);
+    co_await nodes_[node]->AccessPage(klass, page, probe ? &*probe : nullptr);
     if (fault_injector_.epoch(node) != epoch ||
         !fault_injector_.IsUp(node)) {
       // The node crashed under this operation: it fails (neither retried

@@ -122,18 +122,6 @@ struct SystemConfig {
   /// Doubles as the failure-detection delay — a dead peer simply never
   /// answers, so the deadline expiring *is* the detection.
   double crash_detect_timeout_ms = 2.0;
-  /// Exponential backoff inserted before the disk fallback after failed
-  /// fetch attempts: min(base · 2^(attempts-1), max) ms. Gives a slow peer
-  /// that answered just after the deadline a moment to stop thrashing the
-  /// requester, without stalling the crash case.
-  double fetch_backoff_base_ms = 0.5;
-  double fetch_backoff_max_ms = 8.0;
-  /// EWMA smoothing of the per-node fetch-latency health score used for
-  /// replica ranking and hedging (higher alpha = faster reaction).
-  double health_ewma_alpha = 0.2;
-  /// Fraction of the gap back to the cost-model baseline the health score
-  /// recovers per restore/recover event (forgiveness after an episode).
-  double health_recovery_decay = 0.25;
 
   // -- Integrity model ------------------------------------------------------
   /// Fraction of injected corruptions that are *latent* — past the
@@ -299,11 +287,11 @@ class Node {
   /// Executes one page access by class `klass` end to end: local lookup,
   /// remote-cache / disk fetch via the home-based protocol, and §6
   /// placement. Returns the storage level that served the access. A
-  /// non-null `budget` receives the per-phase latency attribution of the
-  /// access (CPU/disk queue-wait and service, fetch wait, backoff, network
-  /// queueing/transfer on the requester's own stack).
+  /// non-null `probe` receives the access's phases (CPU/disk queue wait and
+  /// service, fetch wait, backoff, network queueing/transfer on the
+  /// requester's own stack).
   sim::Task<StorageLevel> AccessPage(ClassId klass, PageId page,
-                                     obs::RequestBudget* budget = nullptr);
+                                     obs::RequestProbe* probe = nullptr);
 
   cache::NodeCache& node_cache() { return *cache_; }
   const cache::NodeCache& node_cache() const { return *cache_; }
@@ -387,8 +375,7 @@ class Node {
   /// in this node's cache, and the matching stale hint bookkeeping.
   void SweepHeatHistory(sim::SimTime horizon);
 
-  sim::Task<void> UseCpu(double instructions,
-                         sim::Resource::UseTiming* timing = nullptr);
+  sim::Task<void> UseCpu(double instructions, obs::RequestProbe* probe);
   sim::Task<void> DeliverHeatReport(NodeId home, PageId page, double heat);
   void RecordAccessHeat(ClassId klass, PageId page);
   /// Threshold-based heat dissemination to the page's home (§6). Runs on
@@ -520,7 +507,12 @@ class ClusterSystem {
   /// Null detaches. Must outlive the system's runs; the caller owns it and
   /// controls Enable().
   void SetTracer(obs::Tracer* tracer);
-  obs::Tracer* tracer() { return tracer_; }
+
+  /// The instrumentation hook of one request issued at `node`: its page
+  /// accesses add their phases to `budget` (may be null) and, while the
+  /// attached tracer is enabled, trace them. Empty when neither sink is on.
+  std::optional<obs::RequestProbe> MakeRequestProbe(
+      NodeId node, obs::RequestBudget* budget) const;
 
   /// Attaches a controller decision-log sink (one record per goal-class
   /// check). Null detaches; the caller owns the log.

@@ -88,7 +88,7 @@ sim::SimTime Network::TransmissionTime(uint32_t bytes) const {
 sim::Task<bool> Network::Transfer(NodeId from, NodeId to, uint32_t bytes,
                                   TrafficClass traffic_class,
                                   bool via_storage_bus,
-                                  TransferTiming* timing) {
+                                  obs::RequestProbe* probe) {
   if (from == to) co_return true;
   sim::SimTime start;
   {
@@ -106,9 +106,10 @@ sim::Task<bool> Network::Transfer(NodeId from, NodeId to, uint32_t bytes,
   medium_.Release();
   co_await simulator_->Delay(params_.latency_ms *
                              std::max(NodeSlowdown(from), NodeSlowdown(to)));
-  if (timing != nullptr) {
-    timing->wait_ms += on_wire - start;
-    timing->transfer_ms += simulator_->Now() - on_wire;
+  if (probe != nullptr) {
+    probe->Span(obs::BudgetPhase::kNetWait, start, on_wire - start);
+    probe->Span(obs::BudgetPhase::kNetTransfer, on_wire,
+                simulator_->Now() - on_wire);
   }
   bool delivered = true;
   {

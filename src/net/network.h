@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/latency_budget.h"
 #include "obs/trace.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -93,19 +94,13 @@ class Network {
   /// transmission time. `via_storage_bus` models the dual-ported SCSI path
   /// of §2 — disk reads bypass the interconnect and are immune to
   /// partitions (but not to loss of their best-effort category, of which
-  /// there are none today).
-  /// Optional out-param of Transfer(): medium queueing vs. on-the-wire
-  /// time (transmission + endpoint latency). Same-node transfers leave it
-  /// untouched. Filled from pure Now() reads only.
-  struct TransferTiming {
-    double wait_ms = 0.0;
-    double transfer_ms = 0.0;
-  };
-
+  /// there are none today). A non-null `probe` receives the medium
+  /// queueing and the on-the-wire time (transmission + endpoint latency) of
+  /// a cross-node transfer.
   sim::Task<bool> Transfer(NodeId from, NodeId to, uint32_t bytes,
                            TrafficClass traffic_class,
                            bool via_storage_bus = false,
-                           TransferTiming* timing = nullptr);
+                           obs::RequestProbe* probe = nullptr);
 
   /// Transmission time the medium is held for a message of `bytes`.
   sim::SimTime TransmissionTime(uint32_t bytes) const;

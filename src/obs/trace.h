@@ -21,9 +21,12 @@ namespace memgoal::obs {
 /// of the modeled NOW and the viewer's zoom levels stay meaningful.
 ///
 /// Span taxonomy (see DESIGN.md):
-///   cat "access": access, cache_probe, fetch_wait, backoff, disk_read
-///                 (complete events) and dir_lookup, hedge, fetch_timeout
-///                 (instants), all on one track per page access;
+///   cat "access": access, and one span per latency-budget phase named
+///                 after it (cpu_wait, cpu_service, disk_wait, disk_service,
+///                 net_wait, net_transfer, fetch_wait, backoff), emitted by
+///                 obs::RequestProbe (complete events), plus dir_lookup,
+///                 hedge, fetch_timeout (instants), all on one track per
+///                 page access;
 ///   cat "net":    net_transfer complete events, one track per transfer.
 class Tracer {
  public:

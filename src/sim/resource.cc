@@ -52,20 +52,12 @@ void Resource::Release() {
   }
 }
 
-Task<void> Resource::Use(SimTime service_time, UseTiming* timing) {
-  if (timing == nullptr) {
-    co_await Acquire();
-    co_await simulator_->Delay(service_time * slowdown_);
-    Release();
-    co_return;
-  }
-  const SimTime enqueued = simulator_->Now();
+Task<SimTime> Resource::Use(SimTime service_time) {
   co_await Acquire();
   const SimTime acquired = simulator_->Now();
   co_await simulator_->Delay(service_time * slowdown_);
-  timing->wait_ms += acquired - enqueued;
-  timing->service_ms += simulator_->Now() - acquired;
   Release();
+  co_return acquired;
 }
 
 }  // namespace memgoal::sim

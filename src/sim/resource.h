@@ -70,18 +70,11 @@ class Resource {
   /// simulated time.
   void Release();
 
-  /// Optional out-param of Use(): how long the caller queued for a unit
-  /// and how long it held it (slowdown-stretched). Filled from pure Now()
-  /// reads, so requesting timings can never perturb the simulation.
-  struct UseTiming {
-    double wait_ms = 0.0;
-    double service_ms = 0.0;
-  };
-
   /// Convenience process: acquire, hold for `service_time` stretched by the
-  /// current slowdown factor, release. A non-null `timing` receives the
-  /// wait/service split (latency-budget attribution).
-  Task<void> Use(SimTime service_time, UseTiming* timing = nullptr);
+  /// current slowdown factor, release. Returns the instant the unit was
+  /// acquired, so a caller that noted when it queued can split its time
+  /// into queue wait and service.
+  Task<SimTime> Use(SimTime service_time);
 
   /// Service-time multiplier applied by Use(); 1.0 = healthy. Set by the
   /// fault injection layer while the owning node is degraded.

@@ -25,13 +25,19 @@ Disk::Disk(sim::Simulator* simulator, const Params& params,
       page_service_ms_(ComputeServiceTime(params, page_bytes)),
       arm_(simulator, /*capacity=*/1, std::move(name)) {}
 
-sim::Task<void> Disk::ReadPage(sim::Resource::UseTiming* timing) {
-  co_await arm_.Use(page_service_ms_, timing);
+sim::Task<void> Disk::ReadPage(obs::RequestProbe* probe) {
+  const sim::SimTime queued = simulator_->Now();
+  const sim::SimTime acquired = co_await arm_.Use(page_service_ms_);
+  if (probe != nullptr) {
+    probe->Span(obs::BudgetPhase::kDiskWait, queued, acquired - queued);
+    probe->Span(obs::BudgetPhase::kDiskService, acquired,
+                simulator_->Now() - acquired);
+  }
   ++reads_completed_;
 }
 
-sim::Task<void> Disk::WritePage(sim::Resource::UseTiming* timing) {
-  co_await arm_.Use(page_service_ms_, timing);
+sim::Task<void> Disk::WritePage() {
+  co_await arm_.Use(page_service_ms_);
   ++writes_completed_;
 }
 

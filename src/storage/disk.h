@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/latency_budget.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -32,12 +33,12 @@ class Disk {
   sim::SimTime PageServiceTime() const { return page_service_ms_; }
 
   /// Reads one page: queues FCFS at the arm and holds it for the service
-  /// time. A non-null `timing` receives the queue-wait/service split.
-  sim::Task<void> ReadPage(sim::Resource::UseTiming* timing = nullptr);
+  /// time. A non-null `probe` receives the disk wait and service.
+  sim::Task<void> ReadPage(obs::RequestProbe* probe = nullptr);
 
   /// Writes one page (same service-time model; used by the WAL force and
   /// the FORCE-at-commit policy of the transactional layer).
-  sim::Task<void> WritePage(sim::Resource::UseTiming* timing = nullptr);
+  sim::Task<void> WritePage();
 
   /// Service-time multiplier while the owning node is degraded (gray
   /// failure); 1.0 = healthy. Affects requests that start after the call.

@@ -14,8 +14,7 @@ bool LockManager::Grantable(const PageLock& lock, TxnId txn, LockMode mode) {
   return true;
 }
 
-sim::Task<bool> LockManager::Acquire(TxnId txn, PageId page, LockMode mode,
-                                     double* wait_ms) {
+sim::Task<bool> LockManager::Acquire(TxnId txn, PageId page, LockMode mode) {
   PageLock& lock = table_[page];
 
   // Re-entrant requests and upgrades.
@@ -72,11 +71,9 @@ sim::Task<bool> LockManager::Acquire(TxnId txn, PageId page, LockMode mode,
     }
     void await_resume() const noexcept {}
   };
-  const sim::SimTime wait_start = simulator_->Now();
   co_await WaitAwaiter{this, page, txn, mode};
   // PromoteWaiters moved us into the holder set before resuming.
   MEMGOAL_DCHECK(Holds(txn, page, mode));
-  if (wait_ms != nullptr) *wait_ms += simulator_->Now() - wait_start;
   ++stats_.grants;
   co_return true;
 }

@@ -48,11 +48,8 @@ class LockManager {
   LockManager& operator=(const LockManager&) = delete;
 
   /// Acquires `mode` on `page` for `txn`. Returns true once granted; false
-  /// if wait-die chose this transaction as the victim (caller aborts). A
-  /// non-null `wait_ms` is incremented by the simulated time spent blocked
-  /// on a conflicting holder (0 for immediate grants, re-entries, deaths).
-  sim::Task<bool> Acquire(TxnId txn, PageId page, LockMode mode,
-                          double* wait_ms = nullptr);
+  /// if wait-die chose this transaction as the victim (caller aborts).
+  sim::Task<bool> Acquire(TxnId txn, PageId page, LockMode mode);
 
   /// Releases every lock held by `txn` and wakes compatible waiters.
   void ReleaseAll(TxnId txn);

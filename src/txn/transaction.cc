@@ -25,32 +25,19 @@ TransactionManager::TransactionManager(core::ClusterSystem* system)
 }
 
 sim::Task<bool> TransactionManager::AcquireAtHome(TxnId txn, NodeId node,
-                                                  PageId page, LockMode mode,
-                                                  obs::RequestBudget* budget) {
+                                                  PageId page, LockMode mode) {
   const NodeId home = system_->database().HomeOf(page);
   const auto& config = system_->config();
-  double lock_wait = 0.0;
-  double* const lock_out = budget != nullptr ? &lock_wait : nullptr;
-  net::Network::TransferTiming net_timing;
-  net::Network::TransferTiming* const net_out =
-      budget != nullptr ? &net_timing : nullptr;
   bool granted;
   if (home != node) {
     // Lock request travels to the page's home lock manager and back.
     co_await system_->network().Transfer(node, home, config.control_msg_bytes,
-                                         net::TrafficClass::kControl,
-                                         /*via_storage_bus=*/false, net_out);
-    granted = co_await lock_manager_.Acquire(txn, page, mode, lock_out);
+                                         net::TrafficClass::kControl);
+    granted = co_await lock_manager_.Acquire(txn, page, mode);
     co_await system_->network().Transfer(home, node, config.control_msg_bytes,
-                                         net::TrafficClass::kControl,
-                                         /*via_storage_bus=*/false, net_out);
+                                         net::TrafficClass::kControl);
   } else {
-    granted = co_await lock_manager_.Acquire(txn, page, mode, lock_out);
-  }
-  if (budget != nullptr) {
-    budget->Add(obs::BudgetPhase::kLockWait, lock_wait);
-    budget->Add(obs::BudgetPhase::kNetWait, net_timing.wait_ms);
-    budget->Add(obs::BudgetPhase::kNetTransfer, net_timing.transfer_ms);
+    granted = co_await lock_manager_.Acquire(txn, page, mode);
   }
   co_return granted;
 }
@@ -58,14 +45,14 @@ sim::Task<bool> TransactionManager::AcquireAtHome(TxnId txn, NodeId node,
 sim::Task<TxnResult> TransactionManager::Run(NodeId node, ClassId klass,
                                              std::vector<PageId> read_set,
                                              std::vector<PageId> write_set,
-                                             std::optional<TxnId> txn_id,
-                                             obs::RequestBudget* budget) {
+                                             std::optional<TxnId> txn_id) {
   const TxnId txn = txn_id.has_value() ? *txn_id : next_txn_id_++;
   const auto& config = system_->config();
   const sim::SimTime start = system_->simulator().Now();
   TxnResult result;
-  double wal_wait = 0.0;
-  double* const wal_out = budget != nullptr ? &wal_wait : nullptr;
+  // Transactions are not budgeted; their page accesses are still traced.
+  auto traced = system_->MakeRequestProbe(node, /*budget=*/nullptr);
+  obs::RequestProbe* const probe = traced ? &*traced : nullptr;
 
   auto abort = [&]() {
     lock_manager_.ReleaseAll(txn);
@@ -76,40 +63,33 @@ sim::Task<TxnResult> TransactionManager::Run(NodeId node, ClassId klass,
 
   // 1. Read phase: S locks + buffered reads.
   for (PageId page : read_set) {
-    if (!co_await AcquireAtHome(txn, node, page, LockMode::kShared, budget)) {
+    if (!co_await AcquireAtHome(txn, node, page, LockMode::kShared)) {
       abort();
       co_return result;
     }
-    co_await system_->node(node).AccessPage(klass, page, budget);
+    co_await system_->node(node).AccessPage(klass, page, probe);
     ++result.pages_read;
   }
 
   // 2. Write phase: X locks + read-modify-write of the current version.
   for (PageId page : write_set) {
-    if (!co_await AcquireAtHome(txn, node, page, LockMode::kExclusive,
-                                budget)) {
+    if (!co_await AcquireAtHome(txn, node, page, LockMode::kExclusive)) {
       abort();
       co_return result;
     }
-    co_await system_->node(node).AccessPage(klass, page, budget);
+    co_await system_->node(node).AccessPage(klass, page, probe);
     ++result.pages_written;
   }
 
   // 3. Commit.
   if (!write_set.empty()) {
-    net::Network::TransferTiming net_timing;
-    net::Network::TransferTiming* const net_out =
-        budget != nullptr ? &net_timing : nullptr;
-    sim::Resource::UseTiming disk_timing;
-    sim::Resource::UseTiming* const disk_out =
-        budget != nullptr ? &disk_timing : nullptr;
     Wal& local_wal = *wals_[node];
     uint64_t last_lsn = 0;
     for (PageId page : write_set) {
       (void)page;
       last_lsn = local_wal.Append(txn, kRedoRecordBytes);
     }
-    co_await local_wal.Force(last_lsn, wal_out);
+    co_await local_wal.Force(last_lsn);
 
     // Two-phase commit with every remote home of a written page (§3: "the
     // 2-phase commit protocol").
@@ -125,30 +105,21 @@ sim::Task<TxnResult> TransactionManager::Run(NodeId node, ClassId klass,
         // PREPARE -> participant forces a prepare record -> YES vote.
         co_await system_->network().Transfer(node, participant,
                                              config.control_msg_bytes,
-                                             net::TrafficClass::kControl,
-                                             /*via_storage_bus=*/false,
-                                             net_out);
+                                             net::TrafficClass::kControl);
         Wal& remote_wal = *wals_[participant];
-        co_await remote_wal.Force(
-            remote_wal.Append(txn, kPrepareRecordBytes), wal_out);
+        co_await remote_wal.Force(remote_wal.Append(txn, kPrepareRecordBytes));
         co_await system_->network().Transfer(participant, node,
                                              config.control_msg_bytes,
-                                             net::TrafficClass::kControl,
-                                             /*via_storage_bus=*/false,
-                                             net_out);
+                                             net::TrafficClass::kControl);
       }
       // Decision: force the commit record locally, then notify.
-      co_await local_wal.Force(local_wal.Append(txn, kPrepareRecordBytes),
-                               wal_out);
+      co_await local_wal.Force(local_wal.Append(txn, kPrepareRecordBytes));
       for (NodeId participant : participants) {
         co_await system_->network().Transfer(node, participant,
                                              config.control_msg_bytes,
-                                             net::TrafficClass::kControl,
-                                             /*via_storage_bus=*/false,
-                                             net_out);
+                                             net::TrafficClass::kControl);
         Wal& remote_wal = *wals_[participant];
-        co_await remote_wal.Force(
-            remote_wal.Append(txn, kPrepareRecordBytes), wal_out);
+        co_await remote_wal.Force(remote_wal.Append(txn, kPrepareRecordBytes));
       }
     }
 
@@ -159,17 +130,11 @@ sim::Task<TxnResult> TransactionManager::Run(NodeId node, ClassId klass,
       if (home != node) {
         co_await system_->network().Transfer(
             node, home, config.page_bytes + config.page_header_bytes,
-            net::TrafficClass::kPage, /*via_storage_bus=*/false, net_out);
+            net::TrafficClass::kPage);
       }
-      co_await system_->node(home).disk().WritePage(disk_out);
+      co_await system_->node(home).disk().WritePage();
       stats_.pages_invalidated += static_cast<uint64_t>(
           system_->InvalidateCopies(page, /*except_node=*/node));
-    }
-    if (budget != nullptr) {
-      budget->Add(obs::BudgetPhase::kNetWait, net_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kNetTransfer, net_timing.transfer_ms);
-      budget->Add(obs::BudgetPhase::kDiskWait, disk_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kDiskService, disk_timing.service_ms);
     }
   }
 
@@ -177,32 +142,24 @@ sim::Task<TxnResult> TransactionManager::Run(NodeId node, ClassId klass,
   lock_manager_.ReleaseAll(txn);
   result.committed = true;
   result.response_ms = system_->simulator().Now() - start;
-  if (budget != nullptr) budget->Add(obs::BudgetPhase::kWalForce, wal_wait);
   ++stats_.commits;
   co_return result;
 }
 
 sim::Task<TxnResult> TransactionManager::RunWithRetry(
     NodeId node, ClassId klass, std::vector<PageId> read_set,
-    std::vector<PageId> write_set, int max_attempts, double backoff_ms,
-    obs::RequestBudget* budget) {
+    std::vector<PageId> write_set, int max_attempts, double backoff_ms) {
   MEMGOAL_CHECK(max_attempts >= 1);
   double backoff = backoff_ms;
   const sim::SimTime start = system_->simulator().Now();
   const TxnId txn = next_txn_id_++;  // kept across retries (wait-die)
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    TxnResult result =
-        co_await Run(node, klass, read_set, write_set, txn, budget);
+    TxnResult result = co_await Run(node, klass, read_set, write_set, txn);
     if (result.committed || !result.died) {
       result.response_ms = system_->simulator().Now() - start;
       co_return result;
     }
-    const sim::SimTime backoff_start = system_->simulator().Now();
     co_await system_->simulator().Delay(backoff);
-    if (budget != nullptr) {
-      budget->Add(obs::BudgetPhase::kBackoff,
-                  system_->simulator().Now() - backoff_start);
-    }
     backoff *= 2.0;
   }
   ++stats_.retries_exhausted;

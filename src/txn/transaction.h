@@ -57,29 +57,22 @@ class TransactionManager {
 
   /// Runs one transaction attempt. `klass` attributes the page accesses to
   /// a workload class for heat/placement purposes. `txn_id` pins the
-  /// wait-die timestamp (used by retries; defaults to a fresh id). A
-  /// non-null `budget` receives the per-phase latency attribution of the
-  /// attempt (page-access phases plus kLockWait for 2PL blocking, kWalForce
-  /// for log forces, kNetWait/kNetTransfer for lock/2PC/install messaging).
+  /// wait-die timestamp (used by retries; defaults to a fresh id).
   sim::Task<TxnResult> Run(NodeId node, ClassId klass,
                            std::vector<PageId> read_set,
                            std::vector<PageId> write_set,
-                           std::optional<TxnId> txn_id = std::nullopt,
-                           obs::RequestBudget* budget = nullptr);
+                           std::optional<TxnId> txn_id = std::nullopt);
 
   /// Runs a transaction with retries and exponential backoff starting at
   /// `backoff_ms`. All attempts reuse the first attempt's TxnId — the
   /// textbook wait-die rule ("a restarted transaction keeps its original
   /// timestamp"), which makes it grow relatively older until it wins and
-  /// rules out starvation. Gives up after `max_attempts`. A non-null
-  /// `budget` accumulates attribution across all attempts (retry backoffs
-  /// land in kBackoff).
+  /// rules out starvation. Gives up after `max_attempts`.
   sim::Task<TxnResult> RunWithRetry(NodeId node, ClassId klass,
                                     std::vector<PageId> read_set,
                                     std::vector<PageId> write_set,
                                     int max_attempts = 8,
-                                    double backoff_ms = 2.0,
-                                    obs::RequestBudget* budget = nullptr);
+                                    double backoff_ms = 2.0);
 
   LockManager& lock_manager() { return lock_manager_; }
   Wal& wal(NodeId node) { return *wals_[node]; }
@@ -96,8 +89,7 @@ class TransactionManager {
  private:
   // Acquires a lock at the page's home, charging the remote round trip.
   sim::Task<bool> AcquireAtHome(TxnId txn, NodeId node, PageId page,
-                                LockMode mode,
-                                obs::RequestBudget* budget = nullptr);
+                                LockMode mode);
 
   core::ClusterSystem* system_;
   LockManager lock_manager_;

@@ -11,13 +11,10 @@ uint64_t Wal::Append(uint64_t /*txn*/, uint32_t bytes) {
   return next_lsn_++;
 }
 
-sim::Task<void> Wal::Force(uint64_t lsn, double* wait_ms) {
+sim::Task<void> Wal::Force(uint64_t lsn) {
   // A caller may hold an LSN that a recovery has since truncated away;
   // clamping to the tail keeps the loop's exit condition reachable.
   const uint64_t target = std::min(lsn, next_lsn_ - 1);
-  sim::Resource::UseTiming write_timing;
-  sim::Resource::UseTiming* const write_out =
-      wait_ms != nullptr ? &write_timing : nullptr;
   // Group commit: a force that starts after `lsn` was appended makes
   // everything up to the current tail durable in one log write. Forces for
   // already-durable LSNs are free.
@@ -26,11 +23,7 @@ sim::Task<void> Wal::Force(uint64_t lsn, double* wait_ms) {
     const uint64_t crash_epoch = crashes_;
     ++forces_;
     ++writes_in_flight_;
-    co_await disk_->WritePage(write_out);
-    if (wait_ms != nullptr) {
-      *wait_ms += write_timing.wait_ms + write_timing.service_ms;
-      write_timing = {};
-    }
+    co_await disk_->WritePage();
     MEMGOAL_CHECK(writes_in_flight_ > 0);
     --writes_in_flight_;
     // A crash while the write was in flight tore it: its records are on

@@ -43,9 +43,7 @@ class Wal {
   /// durable; otherwise performs (or waits for) the covering log write.
   /// An `lsn` beyond the current tail — a record truncated away by a prior
   /// recovery — is clamped to the tail: there is nothing left to force.
-  /// A non-null `wait_ms` is incremented by the simulated time the force
-  /// spent on log-disk writes (queueing + service).
-  sim::Task<void> Force(uint64_t lsn, double* wait_ms = nullptr);
+  sim::Task<void> Force(uint64_t lsn);
 
   /// Models a crash of this node: the in-memory tail is gone, and a log
   /// write in flight is torn (its records fail their CRC on replay). Call

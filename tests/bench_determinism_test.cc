@@ -35,6 +35,7 @@
 #include "core/system.h"
 #include "obs/attainment.h"
 #include "obs/decision_log.h"
+#include "obs/trace.h"
 #include "sim/chaos_schedule.h"
 #include "sim/invariant_auditor.h"
 
@@ -228,7 +229,8 @@ std::optional<core::Scenario> ParseScenario(const std::string& text) {
 }
 
 ScenarioRun RunScenario(const core::Scenario& scenario,
-                        obs::AttainmentTracker* attainment = nullptr) {
+                        obs::AttainmentTracker* attainment = nullptr,
+                        obs::Tracer* tracer = nullptr) {
   core::ClusterSystem system(scenario.system);
   for (const workload::ClassSpec& spec : scenario.classes) {
     system.AddClass(spec);
@@ -236,6 +238,7 @@ ScenarioRun RunScenario(const core::Scenario& scenario,
   obs::DecisionLog decision_log;
   system.SetDecisionLog(&decision_log);
   if (attainment != nullptr) system.SetAttainment(attainment);
+  if (tracer != nullptr) system.SetTracer(tracer);
   sim::InvariantAuditor auditor;
   if (scenario.audit) system.EnableAuditor(&auditor);
   system.Start();
@@ -257,10 +260,11 @@ ScenarioRun RunScenario(const core::Scenario& scenario,
 }
 
 std::optional<ScenarioRun> RunScenarioText(
-    const std::string& text, obs::AttainmentTracker* attainment = nullptr) {
+    const std::string& text, obs::AttainmentTracker* attainment = nullptr,
+    obs::Tracer* tracer = nullptr) {
   std::optional<core::Scenario> scenario = ParseScenario(text);
   if (!scenario.has_value()) return std::nullopt;
-  return RunScenario(*scenario, attainment);
+  return RunScenario(*scenario, attainment, tracer);
 }
 
 // FNV-1a over the metrics CSV, the decision-log JSONL, the attainment
@@ -438,6 +442,32 @@ TEST(ScenarioBitExactness, EnabledAttainmentTrackingIsBitExact) {
   EXPECT_LE(tracker.max_sum_error(), 1e-9);
   EXPECT_FALSE(tracked->attainment_jsonl.empty());
   EXPECT_FALSE(tracked->attainment_csv.empty());
+}
+
+TEST(ScenarioBitExactness, TracingBesideAttainmentTrackingIsBitExact) {
+  // The tracer and the attainment tracker read one request probe. With
+  // both enabled, the simulation must match a bare run, and the tracker's
+  // exports and the decision log it annotates must match a tracker-only
+  // run: the second sink neither perturbs the run nor double counts.
+  const std::string text = CrashingCluster();
+  const std::optional<ScenarioRun> bare = RunScenarioText(text);
+  obs::AttainmentTracker tracker_only;
+  tracker_only.Enable(true);
+  const std::optional<ScenarioRun> tracked =
+      RunScenarioText(text, &tracker_only);
+  obs::AttainmentTracker tracker;
+  tracker.Enable(true);
+  obs::Tracer tracer;
+  tracer.Enable(true);
+  const std::optional<ScenarioRun> both =
+      RunScenarioText(text, &tracker, &tracer);
+  ASSERT_TRUE(bare.has_value() && tracked.has_value() && both.has_value());
+  EXPECT_EQ(bare->events, both->events);
+  EXPECT_EQ(bare->metrics_csv, both->metrics_csv);
+  EXPECT_EQ(tracked->attainment_jsonl, both->attainment_jsonl);
+  EXPECT_EQ(tracked->attainment_csv, both->attainment_csv);
+  EXPECT_EQ(tracked->decision_jsonl, both->decision_jsonl);
+  EXPECT_GT(tracer.size(), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "obs/latency_budget.h"
 #include "workload/spec.h"
 
 namespace memgoal::obs {
@@ -34,6 +36,67 @@ std::vector<std::string> EventLines(const Tracer& tracer) {
 std::string StripTrailingComma(std::string line) {
   if (!line.empty() && line.back() == ',') line.pop_back();
   return line;
+}
+
+// Extracts the numeric value following `"key":` on a trace-event line;
+// returns false when the key is absent.
+bool EventNumber(const std::string& line, const char* key, double* out) {
+  std::string needle = "\"";
+  needle += key;
+  needle += "\":";
+  const size_t pos = line.find(needle);
+  if (pos == std::string::npos) return false;
+  *out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
+  return true;
+}
+
+// One page access's track: its `access` span and the phase spans under it,
+// in trace microseconds.
+struct AccessTrack {
+  bool has_access = false;  // false when the access was cut short
+  double access_us = 0.0;
+  double phase_us = 0.0;
+  int phases = 0;
+};
+
+std::map<std::pair<uint64_t, uint64_t>, AccessTrack> AccessTracks(
+    const Tracer& tracer) {
+  std::set<std::string> phase_names;
+  for (int i = 0; i < kNumBudgetPhases; ++i) {
+    phase_names.insert(BudgetPhaseName(static_cast<BudgetPhase>(i)));
+  }
+  std::map<std::pair<uint64_t, uint64_t>, AccessTrack> tracks;
+  for (const std::string& raw : EventLines(tracer)) {
+    const std::string line = StripTrailingComma(raw);
+    if (line.find("\"cat\":\"access\"") == std::string::npos) continue;
+    double dur = 0.0, pid = 0.0, tid = 0.0;
+    if (!EventNumber(line, "dur", &dur)) continue;  // instants
+    EXPECT_TRUE(EventNumber(line, "pid", &pid)) << line;
+    EXPECT_TRUE(EventNumber(line, "tid", &tid)) << line;
+    const size_t begin = line.find("\"name\":\"") + 8;
+    const std::string name = line.substr(begin, line.find('"', begin) - begin);
+    AccessTrack& track =
+        tracks[{static_cast<uint64_t>(pid), static_cast<uint64_t>(tid)}];
+    if (name == "access") {
+      for (const char* arg : {"\"class\":", "\"page\":", "\"level\":",
+                              "\"hit\":"}) {
+        EXPECT_NE(line.find(arg), std::string::npos) << line;
+      }
+      track.has_access = true;
+      track.access_us = dur;
+    } else {
+      EXPECT_TRUE(phase_names.count(name) == 1) << line;
+      track.phase_us += dur;
+      ++track.phases;
+    }
+  }
+  return tracks;
+}
+
+// Printed durations round to 1e-3 μs, so a sum over a track's spans may be
+// off by that much per span.
+double PrintTolerance(const AccessTrack& track) {
+  return 1e-3 * (track.phases + 1);
 }
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {
@@ -114,26 +177,27 @@ TEST(TracerTest, SimulationTraceSatisfiesEventSchema) {
   }
   EXPECT_TRUE(saw_access);
   EXPECT_TRUE(saw_net);
-}
 
-// Extracts the numeric value following `"key":` on a trace-event line;
-// returns false when the key is absent.
-bool EventNumber(const std::string& line, const char* key, double* out) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
-  return true;
+  // The trace explains the budget: with no fault, every instant of an
+  // access lies in one of its phase spans.
+  int accesses = 0;
+  for (const auto& [key, track] : AccessTracks(tracer)) {
+    if (!track.has_access) continue;
+    ++accesses;
+    EXPECT_NEAR(track.phase_us, track.access_us, PrintTolerance(track))
+        << "track (" << key.first << "," << key.second << ")";
+  }
+  EXPECT_GT(accesses, 0);
 }
 
 // Composed faults: a gray episode that forces hedged remote reads, plus a
 // partition cut landing mid-request. The span contract under that overlap:
 // every complete span is balanced (non-negative duration) and spans sharing
 // a track are properly nested — a request whose fetch was cut off mid-
-// flight must still close its access/fetch_wait/backoff/disk_read spans in
-// LIFO order, never leaving a dangling or interleaved span.
+// flight must still close its access span and its phase spans (cpu, fetch
+// wait, backoff, disk and net wait/service) in LIFO order, never leaving a
+// dangling or interleaved span — and an access's phases never claim more
+// time than the access took.
 TEST(TracerTest, ComposedFaultSpansStayBalancedAndNested) {
   core::SystemConfig config;
   config.num_nodes = 3;
@@ -219,6 +283,15 @@ TEST(TracerTest, ComposedFaultSpansStayBalancedAndNested) {
           << ") vs [" << cur.begin << "," << cur.end << ")";
     }
   }
+
+  int accesses = 0;
+  for (const auto& [key, track] : AccessTracks(tracer)) {
+    if (!track.has_access) continue;
+    ++accesses;
+    EXPECT_LE(track.phase_us, track.access_us + PrintTolerance(track))
+        << "track (" << key.first << "," << key.second << ")";
+  }
+  EXPECT_GT(accesses, 0);
 }
 
 TEST(TracerTest, DisabledTracerOnSystemLeavesRunUntouched) {

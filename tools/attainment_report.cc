@@ -10,12 +10,14 @@
 // is deliberately minimal — it only consumes what AttainmentTracker emits.
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,19 +80,41 @@ int main(int argc, char** argv) {
   std::map<uint32_t, ClassTotals> classes;
   int intervals = 0;
   std::string line;
+  int line_no = 0;
+  // Integer fields are read as doubles and cast: a value the cast cannot
+  // represent is an input error, not undefined behaviour.
+  const auto count = [&](const char* key, double max,
+                         std::optional<uint64_t>* out) {
+    double value = 0.0;
+    if (!FindNumber(line, key, &value)) return true;
+    if (!std::isfinite(value) || value < 0.0 || value > max) {
+      std::fprintf(stderr,
+                   "error: %s:%d: \"%s\" is not a number in [0, %.0f]\n",
+                   argv[1], line_no, key, max);
+      return false;
+    }
+    *out = static_cast<uint64_t>(value);
+    return true;
+  };
   while (std::getline(in, line)) {
-    double klass_d = 0.0;
-    if (!FindNumber(line, "class", &klass_d)) continue;
-    ClassTotals& totals = classes[static_cast<uint32_t>(klass_d)];
+    ++line_no;
+    std::optional<uint64_t> klass, interval, requests;
+    // The interval bound leaves room for the count of intervals below; up
+    // to 2^53 every request count is exact in the double it was read as.
+    if (!count("class", UINT32_MAX, &klass) ||
+        !count("interval", INT32_MAX - 1, &interval) ||
+        !count("requests", 0x1p53, &requests)) {
+      return 1;
+    }
+    if (!klass.has_value()) continue;
+    ClassTotals& totals = classes[static_cast<uint32_t>(*klass)];
     if (line.find("\"type\":\"budget\"") != std::string::npos) {
+      if (interval.has_value() &&
+          static_cast<int>(*interval) + 1 > intervals) {
+        intervals = static_cast<int>(*interval) + 1;
+      }
+      if (requests.has_value()) totals.requests += *requests;
       double value = 0.0;
-      if (FindNumber(line, "interval", &value) &&
-          static_cast<int>(value) + 1 > intervals) {
-        intervals = static_cast<int>(value) + 1;
-      }
-      if (FindNumber(line, "requests", &value)) {
-        totals.requests += static_cast<uint64_t>(value);
-      }
       if (FindNumber(line, "rt_sum_ms", &value)) totals.rt_sum_ms += value;
       for (int i = 0; i < kNumBudgetPhases; ++i) {
         char key[48];
