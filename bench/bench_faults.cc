@@ -514,17 +514,19 @@ int RunCorrupt(const Setup& base, double goal, int intervals,
             counted > 0 ? static_cast<double>(satisfied) / counted : 0.0;
         row.satisfied_tail = static_cast<double>(tail_satisfied) / kGrayTail;
         row.injected = system->fault_injector().stats().corruptions;
-        row.detected = system->corrupt_detected();
-        row.corrupt_served = system->corrupt_served();
-        row.latent_served = system->latent_served();
-        row.quarantine_decisions = system->quarantine_decisions();
-        row.frames_quarantined = system->frames_quarantined();
-        row.repairs_replica = system->repairs_replica();
-        row.pages_lost = system->pages_lost();
-        row.pages_scrubbed = system->pages_scrubbed();
-        row.scrub_skipped_busy = system->scrub_skipped_busy();
-        row.disk_detections = system->disk_detections();
-        row.ladders_open = system->repair_ladders_open();
+        const core::IntegrityService::Ledger& ledger =
+            system->integrity().ledger();
+        row.detected = ledger.detected;
+        row.corrupt_served = ledger.served;
+        row.latent_served = ledger.latent_served;
+        row.quarantine_decisions = ledger.quarantine_decisions;
+        row.frames_quarantined = system->integrity().frames_quarantined();
+        row.repairs_replica = ledger.repairs_replica;
+        row.pages_lost = ledger.pages_lost;
+        row.pages_scrubbed = ledger.pages_scrubbed;
+        row.scrub_skipped_busy = ledger.scrub_skipped_busy;
+        row.disk_detections = ledger.disk_detections;
+        row.ladders_open = ledger.ladders_open;
         row.audit_violations = auditor.violations_found();
         row.miss_cards_corrupt = CountAttributedMisses(
             attainment, [](const obs::AttainmentTracker::MissCard& card) {

@@ -12,7 +12,7 @@ void FencingControllerBase::Attach(core::ClusterSystem* system) {
   const auto& config = system->config();
   for (ClassId klass : system->goal_class_ids()) {
     states_.try_emplace(klass, ClassState(config.tolerance_rel_floor,
-                                          config.tolerance_z));
+                                          core::kToleranceZ));
   }
 }
 

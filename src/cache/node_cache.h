@@ -53,9 +53,6 @@ class NodeCache {
 
   /// Creates class k's dedicated pool (initially 0 bytes) if absent.
   void EnsureDedicatedPool(ClassId klass);
-  bool HasDedicatedPool(ClassId klass) const {
-    return dedicated_.count(klass) > 0;
-  }
 
   bool IsCached(PageId page) const { return page_location_.Contains(page); }
 

@@ -84,10 +84,6 @@ void Config::Set(const std::string& key, const std::string& value) {
   used_[key] = false;
 }
 
-bool Config::Has(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
 std::optional<std::string> Config::Lookup(const std::string& key) {
   known_.insert(key);
   auto it = values_.find(key);

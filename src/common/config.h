@@ -32,8 +32,6 @@ class Config {
 
   void Set(const std::string& key, const std::string& value);
 
-  bool Has(const std::string& key) const;
-
   /// Typed getters: return the stored value converted to the requested type,
   /// or `fallback` when the key is absent. A present key that fails to
   /// convert is a configuration error and aborts.

@@ -137,18 +137,6 @@ class FlatHashMap {
     return SlotAt(index).value;
   }
 
-  /// Inserts key -> value, or overwrites the existing mapping.
-  void InsertOrAssign(const K& key, V value) {
-    ReserveForInsert();
-    size_t index = FindIndex(key);
-    if (index != kNotFound) {
-      SlotAt(index).value = std::move(value);
-      return;
-    }
-    index = InsertSlot(key);
-    ::new (&SlotAt(index).value) V(std::move(value));
-  }
-
   /// Removes `key` if present; returns the number of elements removed.
   size_t Erase(const K& key) {
     if (capacity_ == 0) return 0;

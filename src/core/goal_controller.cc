@@ -14,6 +14,15 @@ namespace memgoal::core {
 
 namespace {
 
+// Message sizes (bytes) of the partitioning protocol: an agent's interval
+// report, an allocation command and its acknowledgement.
+constexpr uint32_t kReportMsgBytes = 48;
+constexpr uint32_t kAllocMsgBytes = 32;
+constexpr uint32_t kAckMsgBytes = 32;
+// Delay between the agents' interval rollup and the coordinator check,
+// covering report message flight time (ms).
+constexpr double kCoordinatorCheckDelayMs = 1.0;
+
 bool AllFinite(const la::Vector& v) {
   for (double x : v) {
     if (!std::isfinite(x)) return false;
@@ -31,7 +40,7 @@ void GoalOrientedController::Attach(ClusterSystem* system) {
     const NodeId home = (klass - 1) % config.num_nodes;
     coordinators_.try_emplace(
         klass, Coordinator(klass, home, config.num_nodes,
-                           config.tolerance_rel_floor, config.tolerance_z));
+                           config.tolerance_rel_floor, kToleranceZ));
   }
 }
 
@@ -54,11 +63,11 @@ void GoalOrientedController::MigrateCoordinator(ClassId klass,
   // State transfer to the new node plus one notification per agent (class-k
   // agents and no-goal agents on every node learn the new address).
   system_->simulator().Spawn(system_->network().Transfer(
-      coordinator.home, new_home, config.report_msg_bytes,
+      coordinator.home, new_home, kReportMsgBytes,
       net::TrafficClass::kPartitionProtocol));
   for (NodeId i = 0; i < config.num_nodes; ++i) {
     system_->simulator().Spawn(system_->network().Transfer(
-        new_home, i, config.control_msg_bytes,
+        new_home, i, kControlMsgBytes,
         net::TrafficClass::kPartitionProtocol));
   }
   coordinator.home = new_home;
@@ -128,7 +137,7 @@ void GoalOrientedController::AnnounceLease(Coordinator* coordinator) {
     system_->AnnounceEpoch(coordinator->klass, i, coordinator->epoch);
     if (i != coordinator->home) {
       system_->simulator().Spawn(system_->network().Transfer(
-          coordinator->home, i, config.control_msg_bytes,
+          coordinator->home, i, kControlMsgBytes,
           net::TrafficClass::kPartitionProtocol));
     }
   }
@@ -360,7 +369,7 @@ sim::Task<void> GoalOrientedController::DeliverGoalReport(
     Coordinator* coordinator, NodeId from, std::optional<double> rt,
     double rate, uint64_t granted, uint64_t bound) {
   const bool delivered = co_await system_->network().Transfer(
-      from, coordinator->home, system_->config().report_msg_bytes,
+      from, coordinator->home, kReportMsgBytes,
       net::TrafficClass::kPartitionProtocol);
   if (!delivered) co_return;  // the coordinator keeps its stale view
   if ((rt.has_value() && !std::isfinite(*rt)) || !std::isfinite(rate)) {
@@ -379,7 +388,7 @@ sim::Task<void> GoalOrientedController::DeliverNoGoalReport(
     Coordinator* coordinator, NodeId from, std::optional<double> rt,
     double rate) {
   const bool delivered = co_await system_->network().Transfer(
-      from, coordinator->home, system_->config().report_msg_bytes,
+      from, coordinator->home, kReportMsgBytes,
       net::TrafficClass::kPartitionProtocol);
   if (!delivered) co_return;
   if ((rt.has_value() && !std::isfinite(*rt)) || !std::isfinite(rate)) {
@@ -502,7 +511,7 @@ la::Vector GoalOrientedController::WarmupAllocation(
 sim::Task<void> GoalOrientedController::CoordinatorCheck(
     Coordinator* coordinator) {
   const SystemConfig& config = system_->config();
-  co_await system_->simulator().Delay(config.coordinator_check_delay_ms);
+  co_await system_->simulator().Delay(kCoordinatorCheckDelayMs);
 
   // The home may have died between the interval boundary and this check;
   // its successor starts from fresh state at the next interval.
@@ -926,7 +935,7 @@ sim::Task<void> GoalOrientedController::SendAllocations(
     if (bytes == coordinator->views[i].granted_bytes) continue;
     ++stats_.allocation_commands;
     const bool command_delivered = co_await system_->network().Transfer(
-        origin, i, config.alloc_msg_bytes,
+        origin, i, kAllocMsgBytes,
         net::TrafficClass::kPartitionProtocol);
     // A lost command never reaches the agent; a lost ack leaves the
     // coordinator's view stale. Both are repaired by the next agent report
@@ -937,7 +946,7 @@ sim::Task<void> GoalOrientedController::SendAllocations(
     if (outcome.rejected_stale_epoch) continue;  // the agent fenced us out
     const uint64_t granted = outcome.granted;
     const bool ack_delivered = co_await system_->network().Transfer(
-        i, origin, config.ack_msg_bytes,
+        i, origin, kAckMsgBytes,
         net::TrafficClass::kPartitionProtocol);
     if (!ack_delivered) continue;
     // A deposed coordinator must not touch the views: they now belong to

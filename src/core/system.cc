@@ -17,6 +17,18 @@ namespace memgoal::core {
 
 namespace {
 
+// CPU model: 100 MIPS nodes, costs in instructions.
+constexpr double kCpuMips = 100.0;
+constexpr double kInstrBufferAccess = 3000.0;
+constexpr double kInstrIoSetup = 5000.0;
+// K of the LRU-K heat histories behind the cost-based and LRU-K policies.
+constexpr int kLruK = 2;
+
+/// CPU time (ms) for the given instruction count at kCpuMips.
+double CpuMs(double instructions) {
+  return instructions / (kCpuMips * 1e3);
+}
+
 cache::CostModel DeriveCostModel(const SystemConfig& config) {
   // What the on-line cost learning of §6 converges to under stable load:
   // the service-time components of each storage level, excluding queueing.
@@ -26,20 +38,18 @@ cache::CostModel DeriveCostModel(const SystemConfig& config) {
                          static_cast<double>(config.page_bytes) /
                              (d.transfer_mb_per_s * 1e6) * 1e3;
   const double control_ms =
-      static_cast<double>(config.control_msg_bytes) * 8.0 /
+      static_cast<double>(kControlMsgBytes) * 8.0 /
           (config.network.bandwidth_mbit_per_s * 1e6) * 1e3 +
       config.network.latency_ms;
   const double page_ms =
-      static_cast<double>(config.page_bytes + config.page_header_bytes) * 8.0 /
+      static_cast<double>(config.page_bytes + kPageHeaderBytes) * 8.0 /
           (config.network.bandwidth_mbit_per_s * 1e6) * 1e3 +
       config.network.latency_ms;
 
-  costs.local_buffer_ms = config.CpuMs(config.instr_buffer_access);
-  costs.remote_buffer_ms =
-      config.CpuMs(config.instr_io_setup) + control_ms + page_ms;
-  costs.local_disk_ms = config.CpuMs(config.instr_io_setup) + disk_ms;
-  costs.remote_disk_ms =
-      config.CpuMs(config.instr_io_setup) + control_ms + disk_ms + page_ms;
+  costs.local_buffer_ms = CpuMs(kInstrBufferAccess);
+  costs.remote_buffer_ms = CpuMs(kInstrIoSetup) + control_ms + page_ms;
+  costs.local_disk_ms = CpuMs(kInstrIoSetup) + disk_ms;
+  costs.remote_disk_ms = CpuMs(kInstrIoSetup) + control_ms + disk_ms + page_ms;
   return costs;
 }
 
@@ -56,7 +66,7 @@ Node::Node(ClusterSystem* system, NodeId id)
       disk_(&system->simulator(), system->config().disk,
             system->config().page_bytes,
             "node" + std::to_string(id) + "/disk"),
-      accumulated_heat_(system->config().lru_k) {
+      accumulated_heat_(kLruK) {
   cache_ = std::make_unique<cache::NodeCache>(
       id, system->config().cache_bytes_per_node, system->config().page_bytes,
       [this](ClassId pool_class) { return MakePolicy(pool_class); });
@@ -73,14 +83,13 @@ std::unique_ptr<cache::ReplacementPolicy> Node::MakePolicy(
     case cache::PolicyKind::kLruK: {
       const cache::HeatTracker* tracker = &accumulated_heat_;
       if (pool_class != kNoGoalClass) {
-        tracker = &class_heat_.try_emplace(pool_class, config.lru_k)
-                       .first->second;
+        tracker = &class_heat_.try_emplace(pool_class, kLruK).first->second;
       }
       return cache::MakeLruKPolicy(tracker, &system_->simulator());
     }
     case cache::PolicyKind::kCostBased:
       if (pool_class != kNoGoalClass) {
-        class_heat_.try_emplace(pool_class, config.lru_k);
+        class_heat_.try_emplace(pool_class, kLruK);
       }
       return cache::MakeCostBasedPolicy([this, pool_class](PageId page) {
         return BenefitOf(pool_class, page);
@@ -124,9 +133,7 @@ void Node::RecordAccessHeat(ClassId klass, PageId page) {
   const double heat = accumulated_heat_.RecordAndHeat(page, now);
   if (klass != kNoGoalClass) {
     if (klass != class_heat_memo_class_) {
-      class_heat_memo_ =
-          &class_heat_.try_emplace(klass, system_->config().lru_k)
-               .first->second;
+      class_heat_memo_ = &class_heat_.try_emplace(klass, kLruK).first->second;
       class_heat_memo_class_ = klass;
     }
     class_heat_memo_->RecordAccess(page, now);
@@ -137,8 +144,7 @@ void Node::RecordAccessHeat(ClassId klass, PageId page) {
 sim::Task<void> Node::DeliverHeatReport(NodeId home, PageId page,
                                         double heat) {
   const bool delivered = co_await system_->network().Transfer(
-      id_, home, system_->config().hint_msg_bytes,
-      net::TrafficClass::kHeatHint);
+      id_, home, kHintMsgBytes, net::TrafficClass::kHeatHint);
   // The home's directory entry only changes when the (best-effort) hint
   // actually arrives.
   if (delivered) {
@@ -154,12 +160,12 @@ sim::Task<void> Node::DeliverHeatReport(NodeId home, PageId page,
 }
 
 void Node::MaybePropagateHeat(PageId page, double heat) {
-  const SystemConfig& config = system_->config();
   const double* reported = reported_heat_.Find(page);
   const double last = reported == nullptr ? 0.0 : *reported;
   const bool significant =
       last == 0.0 ? heat > 0.0
-                  : std::fabs(heat - last) > config.hint_heat_threshold * last;
+                  : std::fabs(heat - last) >
+                        system_->config().hint_heat_threshold * last;
   if (!significant) return;
   const NodeId home = system_->database().HomeOf(page);
   if (home == id_) {
@@ -167,25 +173,14 @@ void Node::MaybePropagateHeat(PageId page, double heat) {
     system_->directory().ReportLocalHeat(id_, page, heat);
     return;
   }
-  if (config.hint_fanout_budget > 0 &&
-      hint_sends_this_interval_ >= config.hint_fanout_budget) {
-    // Over the per-interval fan-out budget. Skip the send *without*
-    // updating the last-reported heat: the change stays significant, so
-    // the threshold filter re-offers the hint next interval on its own —
-    // no owed-hints bookkeeping needed.
-    ++hint_budget_skips_;
-    return;
-  }
-  ++hint_sends_this_interval_;
   reported_heat_[page] = heat;
   system_->simulator().Spawn(DeliverHeatReport(home, page, heat));
 }
 
 void Node::ResetVolatileState() {
-  const int k = system_->config().lru_k;
-  accumulated_heat_ = cache::HeatTracker(k);
+  accumulated_heat_ = cache::HeatTracker(kLruK);
   for (auto& [klass, tracker] : class_heat_) {
-    tracker = cache::HeatTracker(k);
+    tracker = cache::HeatTracker(kLruK);
   }
   reported_heat_.clear();
   // A crashed node owes nothing: its heat contributions were wiped from the
@@ -202,8 +197,7 @@ size_t Node::FlushUnsyncedHints() {
     const NodeId home = system_->database().HomeOf(page);
     if (home != id_) {
       system_->simulator().Spawn(system_->network().Transfer(
-          id_, home, system_->config().hint_msg_bytes,
-          net::TrafficClass::kHeatHint));
+          id_, home, kHintMsgBytes, net::TrafficClass::kHeatHint));
     }
     ++flushed;
   }
@@ -239,7 +233,7 @@ void Node::SweepHeatHistory(sim::SimTime horizon) {
 }
 
 void Node::HandleDrops(std::span<const PageId> dropped) {
-  system_->ClearEvictedFrameMarks(id_, dropped);
+  system_->integrity().OnFramesDropped(id_, dropped);
   for (PageId page : dropped) {
     if (system_->config().injected_bug != InjectedBug::kLeakDirectoryEntry) {
       system_->directory().OnPageDropped(id_, page);
@@ -247,8 +241,7 @@ void Node::HandleDrops(std::span<const PageId> dropped) {
     const NodeId home = system_->database().HomeOf(page);
     if (home != id_) {
       system_->simulator().Spawn(system_->network().Transfer(
-          id_, home, system_->config().hint_msg_bytes,
-          net::TrafficClass::kHeatHint));
+          id_, home, kHintMsgBytes, net::TrafficClass::kHeatHint));
     }
   }
 }
@@ -258,8 +251,7 @@ void Node::AfterInsert(PageId page) {
   const NodeId home = system_->database().HomeOf(page);
   if (home != id_) {
     system_->simulator().Spawn(system_->network().Transfer(
-        id_, home, system_->config().hint_msg_bytes,
-        net::TrafficClass::kHeatHint));
+        id_, home, kHintMsgBytes, net::TrafficClass::kHeatHint));
   }
 }
 
@@ -267,8 +259,7 @@ sim::Task<void> Node::UseCpu(double instructions, obs::RequestProbe* probe) {
   // Use() applies the node's current slowdown factor, so a degraded node's
   // CPU work stretches along with its disk and network latency.
   const sim::SimTime queued = system_->simulator().Now();
-  const sim::SimTime acquired =
-      co_await cpu_.Use(system_->config().CpuMs(instructions));
+  const sim::SimTime acquired = co_await cpu_.Use(CpuMs(instructions));
   if (probe != nullptr) {
     probe->Span(obs::BudgetPhase::kCpuWait, queued, acquired - queued);
     probe->Span(obs::BudgetPhase::kCpuService, acquired,
@@ -295,16 +286,16 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
     const NodeId home = system_->database().HomeOf(page);
     const bool home_alive = system_->NodeUp(home);
     const bool asked = co_await network.Transfer(
-        id_, home, config.control_msg_bytes, net::TrafficClass::kControl);
+        id_, home, kControlMsgBytes, net::TrafficClass::kControl);
     if (!asked || !home_alive || !system_->NodeUp(home)) {
       co_return;  // request died with (or never reached) the home
     }
     const bool forwarded = co_await network.Transfer(
-        home, target, config.control_msg_bytes, net::TrafficClass::kControl);
+        home, target, kControlMsgBytes, net::TrafficClass::kControl);
     if (!forwarded) co_return;
   } else {
     const bool asked = co_await network.Transfer(
-        id_, target, config.control_msg_bytes, net::TrafficClass::kControl);
+        id_, target, kControlMsgBytes, net::TrafficClass::kControl);
     if (!asked) co_return;
   }
   if (!system_->NodeUp(target) ||
@@ -317,20 +308,11 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
   // quarantined and answered with silence, so the requester's phase timer
   // hedges to the next-ranked replica — RankedCopies *is* the repair
   // steering for cached corruption.
-  storage::Flaw flaw = storage::Flaw::kNone;
-  if (system_->integrity_.any_marked()) {
-    flaw = system_->integrity_.FrameFlaw(target, page);
-    if (flaw == storage::Flaw::kDetectable) {
-      if (config.injected_bug != InjectedBug::kSkipVerify) {
-        ++system_->corrupt_detected_;
-        system_->QuarantineFrame(target, page);
-        co_return;
-      }
-      // kSkipVerify: the corrupt page ships anyway.
-    }
-  }
+  const std::optional<storage::Flaw> flaw =
+      system_->integrity().VerifyFrame(target, page);
+  if (!flaw) co_return;
   const bool page_arrived = co_await network.Transfer(
-      target, id_, config.page_bytes + config.page_header_bytes,
+      target, id_, config.page_bytes + kPageHeaderBytes,
       net::TrafficClass::kPage);
   if (!page_arrived) co_return;  // cut mid-flight: no page, no observation
   // Every completed attempt — even one that lost the hedge race or arrived
@@ -340,7 +322,7 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
   if (!state->delivered) {
     state->delivered = true;
     state->server = target;
-    state->flaw = flaw;
+    state->flaw = *flaw;
     if (state->wake != nullptr) state->wake->Set();
   }
 }
@@ -364,7 +346,7 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
   // on deliveries).
   if (probe != nullptr) probe->BeginAccess(system_->simulator().Now());
   RecordAccessHeat(klass, page);
-  co_await UseCpu(config.instr_buffer_access, probe);
+  co_await UseCpu(kInstrBufferAccess, probe);
   if (CrashedSince(start_epoch)) co_return StorageLevel::kLocalBuffer;
 
   cache::NodeCache::AccessResult access = cache_->OnAccess(klass, page);
@@ -373,23 +355,9 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     // Verify-on-read: a detectably corrupt frame is quarantined and the
     // access falls through to the fetch path below — the repair ladder for
     // cached corruption is simply a re-fetch from a replica or the disk.
-    storage::Flaw hit_flaw = storage::Flaw::kNone;
-    if (system_->integrity_.any_marked()) {
-      hit_flaw = system_->integrity_.FrameFlaw(id_, page);
-    }
-    bool serve_local = true;
-    if (hit_flaw == storage::Flaw::kDetectable) {
-      if (config.injected_bug == InjectedBug::kSkipVerify) {
-        ++system_->corrupt_served_;  // bug: the bad frame is consumed as-is
-      } else {
-        ++system_->corrupt_detected_;
-        system_->QuarantineFrame(id_, page);
-        serve_local = false;
-      }
-    } else if (hit_flaw == storage::Flaw::kLatent) {
-      ++system_->latent_served_;  // sailed past the checksum; modeled only
-    }
-    if (serve_local) {
+    if (const std::optional<storage::Flaw> flaw =
+            system_->integrity().VerifyFrame(id_, page)) {
+      system_->integrity().Consume(*flaw);
       system_->CountAccess(klass, StorageLevel::kLocalBuffer);
       if (probe != nullptr) {
         probe->EndAccess(system_->simulator().Now(), klass, page,
@@ -400,9 +368,9 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     }
   }
 
-  co_await UseCpu(config.instr_io_setup, probe);
+  co_await UseCpu(kInstrIoSetup, probe);
   const NodeId home = system_->database().HomeOf(page);
-  const uint32_t page_msg = config.page_bytes + config.page_header_bytes;
+  const uint32_t page_msg = config.page_bytes + kPageHeaderBytes;
   StorageLevel level;
   // Integrity of the content this fetch ends up consuming: set from the
   // serving frame's flaw on a remote-buffer delivery, or from the disk
@@ -483,7 +451,7 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     }
     if (home == id_) {
       co_await disk_.ReadPage(probe);
-      fetched_flaw = co_await system_->VerifyDiskRead(page);
+      fetched_flaw = co_await system_->integrity().VerifyDiskRead(page);
       level = StorageLevel::kLocalDisk;
     } else {
       if (candidates.empty()) {
@@ -493,7 +461,7 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
         // the only wait this path pays).
         const bool home_alive = system_->NodeUp(home);
         const bool asked = co_await network.Transfer(
-            id_, home, config.control_msg_bytes, net::TrafficClass::kControl,
+            id_, home, kControlMsgBytes, net::TrafficClass::kControl,
             /*via_storage_bus=*/false, probe);
         if (!asked || !home_alive || !system_->NodeUp(home)) {
           if (probe != nullptr) {
@@ -506,7 +474,7 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
         }
       }
       co_await system_->node(home).disk().ReadPage(probe);
-      fetched_flaw = co_await system_->VerifyDiskRead(page);
+      fetched_flaw = co_await system_->integrity().VerifyDiskRead(page);
       // The NOW's disks are dual-ported: the page travels over the storage
       // bus, which a LAN partition does not sever. Bandwidth/queueing of the
       // shared medium still applies.
@@ -528,25 +496,13 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     HandleDrops(insert.dropped);
     if (insert.inserted) {
       AfterInsert(page);
-      // The fetched bits are now this frame's bits: a flawed source
-      // silently propagates its flaw into our copy.
-      if (fetched_flaw != storage::Flaw::kNone &&
-          system_->integrity_.MarkFrame(id_, page, fetched_flaw) &&
-          fetched_flaw == storage::Flaw::kLatent) {
-        ++system_->latent_propagated_;
-      }
+      system_->integrity().OnFrameFilled(id_, page, fetched_flaw);
     }
   } else {
     cache::NodeCache::AccessResult touch = cache_->OnAccess(klass, page);
     HandleDrops(touch.dropped);
   }
-  // What the client actually consumed: kDetectable here means a verify was
-  // skipped somewhere (the no-corrupt-page-served audit's ground truth).
-  if (fetched_flaw == storage::Flaw::kDetectable) {
-    ++system_->corrupt_served_;
-  } else if (fetched_flaw == storage::Flaw::kLatent) {
-    ++system_->latent_served_;
-  }
+  system_->integrity().Consume(fetched_flaw);
   system_->CountAccess(klass, level);
   if (probe != nullptr) {
     probe->EndAccess(system_->simulator().Now(), klass, page,
@@ -567,7 +523,7 @@ ClusterSystem::ClusterSystem(const SystemConfig& config)
       cost_model_(DeriveCostModel(config)),
       master_rng_(config.seed),
       fault_injector_(&simulator_, config.num_nodes, config.faults),
-      integrity_(config.db_pages, config.num_nodes) {
+      integrity_(this) {
   MEMGOAL_CHECK(config.num_nodes > 0);
   MEMGOAL_CHECK(config.crash_detect_timeout_ms >= 0.0);
   MEMGOAL_CHECK(config.corrupt_latent_fraction >= 0.0 &&
@@ -591,12 +547,8 @@ ClusterSystem::ClusterSystem(const SystemConfig& config)
       [this](uint32_t node) { HandleNodeDegrade(node); },
       [this](uint32_t node) { HandleNodeRestore(node); });
   fault_injector_.SetPartitionCallback([this] { HandlePartitionChange(); });
-  fault_injector_.SetCorruptionCallback(
-      [this](uint32_t node, uint64_t draw) { HandleCorruption(node, draw); });
-  // Replica ranking for repair steers around detectably corrupt frames; a
-  // latent flaw passes the predicate by construction (nothing can see it).
-  directory_.SetIntegrityCheck([this](NodeId node, PageId page) {
-    return integrity_.FrameFlaw(node, page) != storage::Flaw::kDetectable;
+  fault_injector_.SetCorruptionCallback([this](uint32_t node, uint64_t draw) {
+    integrity_.HandleCorruption(node, draw);
   });
   // The injector's reachability relation is the single source of truth; the
   // network enforces it on delivery and the directory's replica ranking
@@ -691,13 +643,7 @@ void ClusterSystem::Start() {
     }
   }
   simulator_.Spawn(IntervalLoop());
-  // Background scrubbers only exist when enabled, so a scrub-off run's
-  // event sequence is untouched by this feature.
-  if (config_.scrub_interval_ms > 0.0) {
-    for (NodeId i = 0; i < config_.num_nodes; ++i) {
-      simulator_.Spawn(ScrubLoop(i));
-    }
-  }
+  integrity_.Start();
   fault_injector_.Start();
 }
 
@@ -707,9 +653,7 @@ void ClusterSystem::HandleNodeCrash(NodeId node) {
   // heat bookkeeping. In-flight operations notice via the epoch counter and
   // fail; no hint traffic is emitted (a dead node cannot send).
   Node& n = *nodes_[node];
-  // Corrupt frames die with the volatile buffer — their marks must go too,
-  // or a future re-fetch of the same page would be falsely flagged.
-  corrupt_wiped_by_crash_ += integrity_.ClearNodeFrames(node);
+  integrity_.OnNodeCrash(node);
   n.node_cache().Clear();
   directory_.DropNode(node);
   n.ResetVolatileState();
@@ -846,17 +790,6 @@ void ClusterSystem::SetInterarrival(ClassId klass,
   MEMGOAL_CHECK_MSG(false, "unknown class id");
 }
 
-void ClusterSystem::SetAccessesPerOp(ClassId klass, int accesses_per_op) {
-  MEMGOAL_CHECK(accesses_per_op > 0);
-  for (workload::ClassSpec& s : classes_) {
-    if (s.id == klass) {
-      s.accesses_per_op = accesses_per_op;
-      return;
-    }
-  }
-  MEMGOAL_CHECK_MSG(false, "unknown class id");
-}
-
 const AccessCounters& ClusterSystem::counters(ClassId klass) const {
   auto it = counters_.find(klass);
   MEMGOAL_CHECK(it != counters_.end());
@@ -940,162 +873,14 @@ int ClusterSystem::InvalidateCopies(PageId page, NodeId except_node) {
     if (i == except_node) continue;
     if (!directory_.IsCachedAt(i, page)) continue;
     nodes_[i]->node_cache().Drop(page);
-    if (integrity_.ClearFrame(i, page)) ++corrupt_evicted_;
+    integrity_.OnFramesDropped(i, {&page, 1});
     directory_.OnPageDropped(i, page);
     simulator_.Spawn(network_.Transfer(database_.HomeOf(page), i,
-                                       config_.control_msg_bytes,
+                                       kControlMsgBytes,
                                        net::TrafficClass::kControl));
     ++dropped;
   }
   return dropped;
-}
-
-void ClusterSystem::HandleCorruption(NodeId node, uint64_t draw) {
-  // Everything about the strike is decided here, from the injected draw:
-  // which surface it hits, which page, and whether the flaw is latent. The
-  // access paths make no RNG draws of their own, so enabling corruption at
-  // rate zero leaves every other schedule bit-identical.
-  const double latent_roll =
-      static_cast<double>(common::Mix64(draw ^ 0x1a7e57ull) >> 11) * 0x1.0p-53;
-  const storage::Flaw flaw = latent_roll < config_.corrupt_latent_fraction
-                                 ? storage::Flaw::kLatent
-                                 : storage::Flaw::kDetectable;
-  // Bit rot prefers what exists: if the drawn page is resident in the
-  // struck node's buffer, the frame takes the hit; otherwise the strike
-  // falls on the node's disk (a page it homes).
-  const PageId frame_page = static_cast<PageId>(
-      common::Mix64(draw ^ 0x9a6eull) % database_.num_pages());
-  if (config_.corrupt_surface != CorruptionSurface::kDisk &&
-      nodes_[node]->node_cache().IsCached(frame_page)) {
-    if (integrity_.MarkFrame(node, frame_page, flaw)) {
-      ++corrupt_injected_frames_;
-    } else {
-      ++corrupt_fizzled_;  // struck an already-flawed frame
-    }
-    return;
-  }
-  if (config_.corrupt_surface == CorruptionSurface::kFrames) {
-    ++corrupt_fizzled_;  // frames-only surface and the page is not resident
-    return;
-  }
-  const uint32_t homed = database_.PagesHomedAt(node);
-  if (homed == 0) {
-    ++corrupt_fizzled_;
-    return;
-  }
-  const PageId disk_page = static_cast<PageId>(
-      node + (common::Mix64(draw ^ 0xd15cull) % homed) * config_.num_nodes);
-  if (integrity_.MarkDisk(disk_page, flaw)) {
-    ++corrupt_injected_disk_;
-  } else {
-    ++corrupt_fizzled_;
-  }
-}
-
-void ClusterSystem::QuarantineFrame(NodeId node, PageId page) {
-  ++quarantine_decisions_;
-  if (config_.injected_bug == InjectedBug::kServeQuarantined) {
-    // Bug: the pool ignores the quarantine order — the frame (and its
-    // mark) stay, so the decision/executed ledger stops balancing.
-    return;
-  }
-  if (!nodes_[node]->node_cache().Quarantine(page)) return;
-  integrity_.ClearFrame(node, page);
-  directory_.OnPageDropped(node, page);
-  // The home learns of the drop the same way eviction hints travel.
-  const NodeId home = database_.HomeOf(page);
-  if (home != node) {
-    simulator_.Spawn(network_.Transfer(node, home, config_.hint_msg_bytes,
-                                       net::TrafficClass::kHeatHint));
-  }
-}
-
-void ClusterSystem::ClearEvictedFrameMarks(NodeId node,
-                                           std::span<const PageId> dropped) {
-  if (!integrity_.any_marked()) return;
-  for (const PageId page : dropped) {
-    if (integrity_.ClearFrame(node, page)) ++corrupt_evicted_;
-  }
-}
-
-sim::Task<storage::Flaw> ClusterSystem::VerifyDiskRead(PageId page) {
-  if (!integrity_.any_marked()) co_return storage::Flaw::kNone;
-  const storage::Flaw flaw = integrity_.DiskFlaw(page);
-  if (flaw != storage::Flaw::kDetectable) {
-    co_return flaw;  // clean, or latent (sails past the checksum)
-  }
-  if (config_.injected_bug == InjectedBug::kSkipVerify) {
-    co_return flaw;  // bug: the corrupt copy is consumed as-is
-  }
-  ++corrupt_detected_;
-  ++disk_detections_;
-  ++repair_ladders_open_;
-  // Repair ladder: the cheapest intact cached replica rewrites the disk
-  // copy (accounted page transfer to the home over the storage bus, then a
-  // disk write). Latent replicas pass the intact predicate by construction:
-  // a repair sourced from one faithfully writes latently bad bits back.
-  const NodeId home = database_.HomeOf(page);
-  net::PageDirectory::CopyList sources;
-  directory_.RankedIntactCopies(page, home, &sources);
-  for (const NodeId source : sources) {
-    if (!NodeUp(source)) continue;
-    const storage::Flaw source_flaw = integrity_.FrameFlaw(source, page);
-    const bool arrived = co_await network_.Transfer(
-        source, home, config_.page_bytes + config_.page_header_bytes,
-        net::TrafficClass::kPage, /*via_storage_bus=*/true);
-    if (!arrived) continue;  // lost mid-repair: try the next source
-    co_await nodes_[home]->disk().WritePage();
-    integrity_.ClearDisk(page);
-    if (source_flaw == storage::Flaw::kLatent) {
-      integrity_.MarkDisk(page, storage::Flaw::kLatent);
-      ++latent_propagated_;
-    }
-    ++repairs_replica_;
-    --repair_ladders_open_;
-    co_return source_flaw;  // the reader gets the repaired content
-  }
-  // Ladder exhausted: no intact cached copy survives and the disk copy is
-  // bad — the page is lost. Count it and re-initialize the copy so the
-  // database stays navigable.
-  --repair_ladders_open_;
-  if (config_.injected_bug == InjectedBug::kLostPageLeak) {
-    // Bug: neither counted nor re-initialized; the detection ledger leaks.
-    co_return storage::Flaw::kNone;
-  }
-  integrity_.ClearDisk(page);
-  ++pages_lost_;
-  co_return storage::Flaw::kNone;
-}
-
-sim::Task<void> ClusterSystem::ScrubLoop(NodeId node) {
-  // Background scrubber: strictly lower priority than workload I/O — it
-  // reads one homed page per tick and only when the node's disk is idle at
-  // the tick instant, so it consumes idle disk bandwidth only.
-  const uint32_t homed = database_.PagesHomedAt(node);
-  if (homed == 0) co_return;
-  uint32_t cursor = 0;
-  while (true) {
-    co_await simulator_.Delay(config_.scrub_interval_ms);
-    ++scrub_ticks_;  // unconditional: the audit's liveness signal
-    if (!NodeUp(node)) continue;  // a dead node scrubs nothing
-    storage::Disk& disk = nodes_[node]->disk();
-    if (disk.resource().in_use() > 0 || disk.resource().queue_length() > 0) {
-      ++scrub_skipped_busy_;
-      continue;
-    }
-    const PageId page =
-        static_cast<PageId>(node + cursor * config_.num_nodes);
-    cursor = (cursor + 1) % homed;
-    co_await disk.ReadPage();
-    ++pages_scrubbed_;
-    co_await VerifyDiskRead(page);
-  }
-}
-
-uint64_t ClusterSystem::frames_quarantined() const {
-  uint64_t total = 0;
-  for (const auto& node : nodes_) total += node->node_cache().quarantined();
-  return total;
 }
 
 std::optional<double> ClusterSystem::WeightedRt(ClassId klass) const {
@@ -1118,7 +903,7 @@ sim::Task<void> ClusterSystem::WorkloadSource(NodeId node, ClassId klass) {
       class_selectors_.try_emplace(klass, class_spec).first->second;
   while (true) {
     // The spec is re-read every iteration so run-time changes
-    // (SetInterarrival, SetAccessesPerOp) take effect immediately.
+    // (SetInterarrival) take effect immediately.
     const double interarrival =
         class_spec.per_node_interarrival_ms.empty()
             ? class_spec.mean_interarrival_ms
@@ -1216,7 +1001,7 @@ sim::Task<void> ClusterSystem::IntervalLoop() {
     metrics_.Append(record);
 
     // Roll the attainment tracker's interval before the controller's
-    // coordinator check fires (it runs coordinator_check_delay_ms later and
+    // coordinator check fires (it runs kCoordinatorCheckDelayMs later and
     // joins miss cards against this interval's finalized budget rows).
     if (attainment_ != nullptr && attainment_->enabled()) {
       std::vector<obs::AttainmentTracker::ClassSample> samples;
@@ -1236,9 +1021,6 @@ sim::Task<void> ClusterSystem::IntervalLoop() {
       }
       attainment_->OnIntervalEnd(index, simulator_.Now(), samples);
     }
-
-    // New interval, fresh hint fan-out budget.
-    for (auto& node : nodes_) node->hint_sends_this_interval_ = 0;
 
     // Bounded-memory sweep of the LRU-K heat histories: records of
     // non-resident pages whose backward-K time fell behind the horizon are
@@ -1318,23 +1100,19 @@ void ClusterSystem::PublishRegistrySnapshot(int interval_index) {
       ->Set(fault_injector_.stats().suppressed);
   registry_.GetCounter("cluster.corrupt_injected")
       ->Set(fault_injector_.stats().corruptions);
-  registry_.GetCounter("cluster.corrupt_detected")->Set(corrupt_detected_);
-  registry_.GetCounter("cluster.corrupt_served")->Set(corrupt_served_);
-  registry_.GetCounter("cluster.latent_served")->Set(latent_served_);
+  const IntegrityService::Ledger& ledger = integrity_.ledger();
+  registry_.GetCounter("cluster.corrupt_detected")->Set(ledger.detected);
+  registry_.GetCounter("cluster.corrupt_served")->Set(ledger.served);
+  registry_.GetCounter("cluster.latent_served")->Set(ledger.latent_served);
   registry_.GetCounter("cluster.quarantine_decisions")
-      ->Set(quarantine_decisions_);
+      ->Set(ledger.quarantine_decisions);
   registry_.GetCounter("cluster.frames_quarantined")
-      ->Set(frames_quarantined());
-  registry_.GetCounter("cluster.repairs_replica")->Set(repairs_replica_);
-  registry_.GetCounter("cluster.pages_lost")->Set(pages_lost_);
-  registry_.GetCounter("cluster.pages_scrubbed")->Set(pages_scrubbed_);
-  uint64_t hint_budget_skips = 0;
-  for (const auto& node : nodes_) {
-    hint_budget_skips += node->hint_budget_skips_;
-  }
-  registry_.GetCounter("cluster.hint_budget_skips")->Set(hint_budget_skips);
+      ->Set(integrity_.frames_quarantined());
+  registry_.GetCounter("cluster.repairs_replica")->Set(ledger.repairs_replica);
+  registry_.GetCounter("cluster.pages_lost")->Set(ledger.pages_lost);
+  registry_.GetCounter("cluster.pages_scrubbed")->Set(ledger.pages_scrubbed);
   registry_.GetCounter("cluster.scrub_skipped_busy")
-      ->Set(scrub_skipped_busy_);
+      ->Set(ledger.scrub_skipped_busy);
   if (auditor_ != nullptr) {
     registry_.GetCounter("audit.checks_run")->Set(auditor_->checks_run());
     registry_.GetCounter("audit.violations")

@@ -19,6 +19,7 @@
 #include "cache/node_cache.h"
 #include "cache/replacement.h"
 #include "common/rng.h"
+#include "core/integrity_service.h"
 #include "core/metrics.h"
 #include "net/directory.h"
 #include "net/network.h"
@@ -35,9 +36,7 @@
 #include "sim/task.h"
 #include "storage/database.h"
 #include "storage/disk.h"
-#include "storage/integrity.h"
 #include "storage/types.h"
-#include "workload/page_selector.h"
 #include "workload/page_selector.h"
 #include "workload/spec.h"
 
@@ -98,6 +97,13 @@ enum class CorruptionSurface {
   kAll,
 };
 
+// -- Message sizes (bytes) -------------------------------------------------
+/// Control request, page-message header and heat hint of the home-based
+/// access protocol (the transactional overlay reuses the first two).
+inline constexpr uint32_t kControlMsgBytes = 64;
+inline constexpr uint32_t kPageHeaderBytes = 64;
+inline constexpr uint32_t kHintMsgBytes = 32;
+
 /// All tunables of the simulated NOW and of the partitioning algorithm.
 /// Defaults reproduce the paper's base environment (§7.1): 3 nodes at
 /// 100 MIPS, 100 Mbit/s network, 2 MB cache and one SCSI disk per node,
@@ -138,29 +144,20 @@ struct SystemConfig {
   /// disk bandwidth than the workload's own I/O.
   double scrub_interval_ms = 0.0;
 
-  // -- CPU model (100 MIPS nodes; costs in instructions) -------------------
-  double cpu_mips = 100.0;
-  double instr_buffer_access = 3000.0;
-  double instr_io_setup = 5000.0;
-
   // -- Feedback loop (§5) ---------------------------------------------------
   double observation_interval_ms = 5000.0;
   /// Agents report only when a value moved by more than this relative
   /// change ("significant change", §5a).
   double report_change_threshold = 0.05;
   /// Tolerance delta = max(rel_floor * goal, z * stderr) (§5c, method of
-  /// [5]); z = 2.576 is the 99% normal critical value.
+  /// [5]); z is kToleranceZ (core/tolerance.h).
   double tolerance_rel_floor = 0.05;
-  double tolerance_z = 2.576;
   /// Warm-up heuristic (§5b): first allocation takes this fraction of the
   /// per-node free memory; subsequent warm-up steps add a perturbation of
   /// `warmup_perturbation` * SIZE_i on one rotating node to force affine
   /// independence of the measure points.
   double warmup_fraction = 0.25;
   double warmup_perturbation = 0.125;
-  /// Delay between the agents' interval rollup and the coordinator check,
-  /// covering report message flight time (ms).
-  double coordinator_check_delay_ms = 1.0;
   /// Damping of the feedback loop: one optimization step grows a node's
   /// dedicated budget by at most `max_step_fraction` of the node's cache
   /// and releases at most `release_step_fraction`. Without damping, a fit
@@ -176,17 +173,10 @@ struct SystemConfig {
 
   // -- Replacement (§6) -----------------------------------------------------
   cache::PolicyKind policy = cache::PolicyKind::kCostBased;
-  int lru_k = 2;
   /// A node re-reports a page's heat to its home when the accumulated local
   /// heat changed by more than this relative factor (threshold-based
   /// dissemination).
   double hint_heat_threshold = 0.2;
-  /// Maximum *remote* heat-hint sends per node per observation interval;
-  /// 0 means unlimited. Over-budget hints are skipped without updating the
-  /// node's last-reported heat, so the threshold filter naturally re-offers
-  /// them next interval — at 256 nodes this bounds directory fan-out
-  /// instead of letting hint traffic grow with the page population.
-  uint32_t hint_fanout_budget = 0;
   /// Heat-history retention horizon in observation intervals: once per
   /// interval each node drops LRU-K records of non-resident pages whose
   /// backward-K time is older than `heat_horizon_intervals` intervals, so
@@ -198,23 +188,10 @@ struct SystemConfig {
   /// access skew).
   double heat_horizon_intervals = 64.0;
 
-  // -- Message sizes (bytes) ------------------------------------------------
-  uint32_t control_msg_bytes = 64;
-  uint32_t page_header_bytes = 64;
-  uint32_t report_msg_bytes = 48;
-  uint32_t alloc_msg_bytes = 32;
-  uint32_t ack_msg_bytes = 32;
-  uint32_t hint_msg_bytes = 32;
-
   uint64_t seed = 1;
 
   /// See InjectedBug; kNone outside auditor/fuzzer validation.
   InjectedBug injected_bug = InjectedBug::kNone;
-
-  /// CPU time (ms) for the given instruction count at `cpu_mips`.
-  double CpuMs(double instructions) const {
-    return instructions / (cpu_mips * 1e3);
-  }
 };
 
 /// Partitioning policy plugged into the system. The default is the paper's
@@ -405,11 +382,6 @@ class Node {
   common::FlatHashMap<PageId, double> reported_heat_;
   // Heat reports lost to a partition cut, owed to their homes at heal time.
   std::set<PageId> unsynced_hints_;
-  /// Remote heat hints sent since the last interval boundary, counted
-  /// against SystemConfig::hint_fanout_budget (reset each interval).
-  uint32_t hint_sends_this_interval_ = 0;
-  /// Lifetime count of hints deferred by the fan-out budget.
-  uint64_t hint_budget_skips_ = 0;
   std::unique_ptr<cache::NodeCache> cache_;
 };
 
@@ -462,10 +434,6 @@ class ClusterSystem {
   /// "evolving workload" scenario of §1/§7.2); takes effect from each
   /// node's next operation onwards.
   void SetInterarrival(ClassId klass, double mean_interarrival_ms);
-
-  /// Changes a class's operation complexity (page accesses per operation)
-  /// at run time; takes effect from the next operation onwards.
-  void SetAccessesPerOp(ClassId klass, int accesses_per_op);
 
   // -- Introspection ---------------------------------------------------------
 
@@ -634,60 +602,22 @@ class ClusterSystem {
 
   // -- Integrity (silent-data-corruption tolerance) --------------------------
 
-  /// Per-copy integrity state (disk copies and cached frames). Marks are
-  /// set by the injector's corruption callback; the access, repair and
-  /// scrub paths consult and clear them.
-  const storage::IntegrityMap& integrity() const { return integrity_; }
-
-  /// Condemns `node`'s cached frame of `page` after a failed verify:
-  /// counts the decision, evicts the frame (with directory cleanup) and
-  /// clears its integrity mark. Under kServeQuarantined the decision is
-  /// counted but the frame stays resident — which is exactly what the
-  /// quarantine-accounting audit flags.
-  void QuarantineFrame(NodeId node, PageId page);
-
-  /// Corruption events that landed on a frame / a disk copy; draws that
-  /// fizzled (non-resident frame, already-marked copy).
-  uint64_t corrupt_injected_frames() const { return corrupt_injected_frames_; }
-  uint64_t corrupt_injected_disk() const { return corrupt_injected_disk_; }
-  uint64_t corrupt_fizzled() const { return corrupt_fizzled_; }
-  /// Verify-on-read detections (frames + disk copies); disk-copy-only
-  /// detections feed the repair ladder.
-  uint64_t corrupt_detected() const { return corrupt_detected_; }
-  uint64_t disk_detections() const { return disk_detections_; }
-  /// Detectably corrupt data consumed by a client access — must stay zero
-  /// (auditor-enforced) except under the kSkipVerify injected bug.
-  uint64_t corrupt_served() const { return corrupt_served_; }
-  /// Latently corrupt data consumed by a client access; undetectable by
-  /// construction, so reported but never audited against.
-  uint64_t latent_served() const { return latent_served_; }
-  /// Quarantine decisions taken; executions are the per-cache
-  /// NodeCache::quarantined() counters the audit balances them against.
-  uint64_t quarantine_decisions() const { return quarantine_decisions_; }
-  uint64_t frames_quarantined() const;
-  /// Repair-ladder outcomes for detectably corrupt disk copies.
-  uint64_t repairs_replica() const { return repairs_replica_; }
-  uint64_t pages_lost() const { return pages_lost_; }
-  /// Repair ladders currently between detection and outcome (a replica
-  /// transfer or disk rewrite is in flight); lets the accounting audit run
-  /// at interval boundaries without flagging in-progress repairs.
-  uint64_t repair_ladders_open() const { return repair_ladders_open_; }
-  /// Latent flaws propagated into a fresh copy (fetch insert or replica
-  /// repair sourced from a latently corrupt frame).
-  uint64_t latent_propagated() const { return latent_propagated_; }
-  /// Frame marks resolved by ordinary eviction / by a crash wiping RAM.
-  uint64_t corrupt_evicted() const { return corrupt_evicted_; }
-  uint64_t corrupt_wiped_by_crash() const { return corrupt_wiped_by_crash_; }
-  /// Scrubber progress: completed verify reads, wakeups, busy skips.
-  uint64_t pages_scrubbed() const { return pages_scrubbed_; }
-  uint64_t scrub_ticks() const { return scrub_ticks_; }
-  uint64_t scrub_skipped_busy() const { return scrub_skipped_busy_; }
+  /// The corruption model: integrity marks, verify, quarantine, repair,
+  /// scrub and the ledger the audits balance.
+  IntegrityService& integrity() { return integrity_; }
+  const IntegrityService& integrity() const { return integrity_; }
+  /// Ledger shorthands read by the benchmark suite.
+  uint64_t corrupt_served() const { return integrity_.ledger().served; }
+  uint64_t corrupt_detected() const { return integrity_.ledger().detected; }
+  uint64_t repairs_replica() const {
+    return integrity_.ledger().repairs_replica;
+  }
+  uint64_t pages_lost() const { return integrity_.ledger().pages_lost; }
+  uint64_t pages_scrubbed() const {
+    return integrity_.ledger().pages_scrubbed;
+  }
 
  private:
-  // Nodes update the integrity ledger counters directly on their access
-  // paths (mirroring Node's own friend declaration for the system).
-  friend class Node;
-
   sim::Task<void> WorkloadSource(NodeId node, ClassId klass);
   sim::Task<void> RunOperation(NodeId node, ClassId klass,
                                common::InlineVector<PageId, 8> pages);
@@ -715,28 +645,6 @@ class ClusterSystem {
   /// re-anchor all health EWMAs (pre-partition timeout penalties measured
   /// the cut, not the peers). Skipped under kSkipHealReconcile.
   void ReconcileAfterHeal();
-
-  /// Corruption instant: maps the injector's opaque draw onto a concrete
-  /// target (cached frame or disk copy at `node`) and a detectability
-  /// outcome — every decision is made here, from the draw, so the access
-  /// path never consumes RNG.
-  void HandleCorruption(NodeId node, uint64_t draw);
-  /// Clears integrity marks of frames leaving `node`'s cache by ordinary
-  /// eviction (a stale mark would otherwise mis-flag a future re-fetch).
-  void ClearEvictedFrameMarks(NodeId node, std::span<const PageId> dropped);
-  /// Verify-on-read of `page`'s just-read disk copy. A detectable flaw
-  /// runs the repair ladder: rewrite from the cheapest intact cached
-  /// replica (accounted transfer + disk write at the home), else declare
-  /// the page lost and re-initialize it. Returns the integrity of the
-  /// content the reader ends up with — kNone after a clean read, a
-  /// replica repair or a loss; kLatent when the copy (or the repair
-  /// source) carries a flaw past the checksum; kDetectable only under
-  /// the kSkipVerify injected bug.
-  sim::Task<storage::Flaw> VerifyDiskRead(PageId page);
-  /// Per-node background scrubber: verifies one disk-resident page per
-  /// tick, but only when the disk is idle (strictly lower priority than
-  /// workload I/O), feeding detections into the repair ladder.
-  sim::Task<void> ScrubLoop(NodeId node);
 
   struct IntervalAccumulator {
     uint64_t arrived = 0;
@@ -792,26 +700,7 @@ class ClusterSystem {
   uint64_t reconcile_hints_sent_ = 0;
   sim::InvariantAuditor* auditor_ = nullptr;
 
-  // Integrity state and the corruption/quarantine/repair/scrub ledger (see
-  // the public accessors for semantics).
-  storage::IntegrityMap integrity_;
-  uint64_t corrupt_injected_frames_ = 0;
-  uint64_t corrupt_injected_disk_ = 0;
-  uint64_t corrupt_fizzled_ = 0;
-  uint64_t corrupt_detected_ = 0;
-  uint64_t disk_detections_ = 0;
-  uint64_t corrupt_served_ = 0;
-  uint64_t latent_served_ = 0;
-  uint64_t quarantine_decisions_ = 0;
-  uint64_t repairs_replica_ = 0;
-  uint64_t pages_lost_ = 0;
-  uint64_t repair_ladders_open_ = 0;
-  uint64_t latent_propagated_ = 0;
-  uint64_t corrupt_evicted_ = 0;
-  uint64_t corrupt_wiped_by_crash_ = 0;
-  uint64_t pages_scrubbed_ = 0;
-  uint64_t scrub_ticks_ = 0;
-  uint64_t scrub_skipped_busy_ = 0;
+  IntegrityService integrity_;
 
   obs::Tracer* tracer_ = nullptr;
   obs::DecisionLog* decision_log_ = nullptr;

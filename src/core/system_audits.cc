@@ -115,38 +115,39 @@ void RegisterSystemAudits(sim::InvariantAuditor* auditor,
     return system->directory().AuditInternalConsistency();
   });
 
+  const IntegrityService* integrity = &system->integrity();
   auditor->AddCheck("no_corrupt_page_served",
-                    [system]() -> std::optional<std::string> {
-    if (system->corrupt_served() > 0) {
+                    [integrity]() -> std::optional<std::string> {
+    const uint64_t served = integrity->ledger().served;
+    if (served > 0) {
       return Describe("%llu detectably corrupt page(s) were served",
-                      static_cast<unsigned long long>(
-                          system->corrupt_served()));
+                      static_cast<unsigned long long>(served));
     }
     return std::nullopt;
   });
 
   auditor->AddCheck("quarantine_accounting",
-                    [system]() -> std::optional<std::string> {
+                    [integrity]() -> std::optional<std::string> {
     // Pure counter equalities — no scans. Every quarantine decision must
-    // have been executed by a buffer pool (QuarantineFrame has no await
+    // have been executed by a buffer pool (the quarantine has no await
     // between the two, so at event boundaries they agree exactly), and
     // every detected-corrupt disk read must have ended its repair ladder
     // as a replica repair or a counted lost page (ladders still running a
-    // transfer are carried in repair_ladders_open()).
-    if (system->quarantine_decisions() != system->frames_quarantined()) {
+    // transfer are carried in ladders_open).
+    const IntegrityService::Ledger& ledger = integrity->ledger();
+    const uint64_t executed = integrity->frames_quarantined();
+    if (ledger.quarantine_decisions != executed) {
       return Describe("%llu quarantine decision(s) vs %llu executed",
                       static_cast<unsigned long long>(
-                          system->quarantine_decisions()),
-                      static_cast<unsigned long long>(
-                          system->frames_quarantined()));
+                          ledger.quarantine_decisions),
+                      static_cast<unsigned long long>(executed));
     }
     const uint64_t closed =
-        system->repairs_replica() + system->pages_lost() +
-        system->repair_ladders_open();
-    if (system->disk_detections() != closed) {
+        ledger.repairs_replica + ledger.pages_lost + ledger.ladders_open;
+    if (ledger.disk_detections != closed) {
       return Describe(
           "%llu disk detection(s) vs %llu repaired+lost+open",
-          static_cast<unsigned long long>(system->disk_detections()),
+          static_cast<unsigned long long>(ledger.disk_detections),
           static_cast<unsigned long long>(closed));
     }
     return std::nullopt;
@@ -154,10 +155,12 @@ void RegisterSystemAudits(sim::InvariantAuditor* auditor,
 
   auditor->AddCheck(
       "scrub_progress",
-      [system, last_ticks = uint64_t{0}, last_scrubbed = uint64_t{0},
+      [system, integrity, last_ticks = uint64_t{0},
+       last_scrubbed = uint64_t{0},
        last_time = -1.0]() mutable -> std::optional<std::string> {
-    const uint64_t ticks = system->scrub_ticks();
-    const uint64_t scrubbed = system->pages_scrubbed();
+    const uint64_t ticks = integrity->ledger().scrub_ticks;
+    const uint64_t scrubbed = integrity->ledger().pages_scrubbed;
+    const uint64_t skipped = integrity->ledger().scrub_skipped_busy;
     if (ticks < last_ticks || scrubbed < last_scrubbed) {
       return Describe("scrub counters moved backwards (%llu/%llu -> "
                       "%llu/%llu)",
@@ -168,11 +171,10 @@ void RegisterSystemAudits(sim::InvariantAuditor* auditor,
     }
     // Each tick ends as a completed scrub read, a busy/down skip, or an
     // in-flight read — never more scrubs than wakeups.
-    if (scrubbed + system->scrub_skipped_busy() > ticks) {
+    if (scrubbed + skipped > ticks) {
       return Describe("%llu scrub(s) + %llu skip(s) exceed %llu tick(s)",
                       static_cast<unsigned long long>(scrubbed),
-                      static_cast<unsigned long long>(
-                          system->scrub_skipped_busy()),
+                      static_cast<unsigned long long>(skipped),
                       static_cast<unsigned long long>(ticks));
     }
     // Liveness: an enabled scrubber ticks unconditionally (even with the

@@ -9,6 +9,10 @@
 
 namespace memgoal::core {
 
+/// Critical value z of the tolerance band: 2.576, the 99% two-sided normal
+/// quantile.
+inline constexpr double kToleranceZ = 2.576;
+
 /// Workload-dependent tolerance band around a response-time goal (§5c).
 ///
 /// Following the approach of fragment fencing (Brown et al., VLDB'93,

@@ -117,16 +117,6 @@ void PageDirectory::RankedCopies(PageId page, NodeId except,
   }
 }
 
-void PageDirectory::RankedIntactCopies(PageId page, NodeId except,
-                                       CopyList* out) const {
-  CopyList ranked;
-  RankedCopies(page, except, &ranked);
-  out->clear();
-  for (const NodeId node : ranked) {
-    if (!verifiable_ || verifiable_(node, page)) out->push_back(node);
-  }
-}
-
 void PageDirectory::SetNodeCost(NodeId node, double cost) {
   MEMGOAL_DCHECK(node < num_nodes_);
   node_cost_[node] = cost;

@@ -70,22 +70,6 @@ class PageDirectory {
   /// ranked holders to `out` (cleared first).
   void RankedCopies(PageId page, NodeId except, CopyList* out) const;
 
-  /// RankedCopies minus holders whose cached frame would fail a checksum
-  /// verify (per SetIntegrityCheck). The repair and scrub paths source
-  /// intact replicas through this so they never waste a transfer on a copy
-  /// the verify step would reject. Latent (undetectable) flaws pass the
-  /// predicate by construction — a repair sourced from one silently
-  /// propagates it, which is the point of modeling them.
-  void RankedIntactCopies(PageId page, NodeId except, CopyList* out) const;
-
-  /// Installs the integrity predicate consulted by RankedIntactCopies
-  /// (owned by the integrity layer): returns false when `node`'s cached
-  /// frame of the page would fail verify-on-read. May be left unset, in
-  /// which case every copy ranks as intact.
-  void SetIntegrityCheck(std::function<bool(NodeId, PageId)> verifiable) {
-    verifiable_ = std::move(verifiable);
-  }
-
   // -- Partition awareness -------------------------------------------------
 
   /// Installs the reachability oracle (owned by the fault-injection layer,
@@ -136,7 +120,6 @@ class PageDirectory {
   std::vector<double> node_cost_;    // [node], replica-ranking cost
   uint64_t total_cached_ = 0;
   std::function<bool(NodeId, NodeId)> reachable_;
-  std::function<bool(NodeId, PageId)> verifiable_;
   bool partition_active_ = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -213,71 +214,156 @@ std::string ToText(const Schedule& schedule) {
   return out.str();
 }
 
-bool FromText(const std::string& text, Schedule* out) {
+namespace {
+
+// Longest horizon FromText accepts (ms): a harness that loops over the
+// horizon's observation intervals then counts them in an int at any
+// interval length of at least 1 ms.
+constexpr double kMaxHorizonMs = 2147483647.0;
+
+std::string Number(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
+  return buffer;
+}
+
+// Why the fault injector or the harness could not run `event` of
+// `schedule`, or "" when it can.
+std::string EventProblem(const Event& event, const Schedule& schedule,
+                         const std::vector<uint32_t>* goal_classes) {
+  if (!std::isfinite(event.at_ms) || event.at_ms < 0.0) {
+    return "time must be finite and >= 0, got " + Number(event.at_ms);
+  }
+  const uint32_t n = schedule.num_nodes;
+  switch (event.kind) {
+    case EventKind::kPartition: {
+      const uint32_t nodes_mask = n >= 32 ? ~0u : (1u << n) - 1;
+      if ((event.minority_mask & ~nodes_mask) != 0) {
+        return "partition mask has bits at or above nodes " +
+               std::to_string(n);
+      }
+      return "";
+    }
+    case EventKind::kHeal:
+      return "";
+    case EventKind::kGoalChange:
+      if (!std::isfinite(event.factor) || event.factor <= 0.0) {
+        return "goal factor must be finite and > 0, got " +
+               Number(event.factor);
+      }
+      if (goal_classes != nullptr &&
+          std::find(goal_classes->begin(), goal_classes->end(),
+                    event.klass) == goal_classes->end()) {
+        return "goal class " + std::to_string(event.klass) +
+               " is not a goal class of this harness";
+      }
+      return "";
+    default:
+      break;
+  }
+  if (event.node >= n) {
+    return "node " + std::to_string(event.node) + " is not below nodes " +
+           std::to_string(n);
+  }
+  if (event.kind == EventKind::kDegrade &&
+      (!std::isfinite(event.factor) || event.factor <= 1.0)) {
+    return "degrade factor must be finite and > 1, got " +
+           Number(event.factor);
+  }
+  if (event.kind == EventKind::kCorrupt && event.count == 0) {
+    return "corrupt count must be >= 1";
+  }
+  return "";
+}
+
+}  // namespace
+
+bool FromText(const std::string& text, Schedule* out, std::string* error,
+              const std::vector<uint32_t>* goal_classes) {
   *out = Schedule{};
   std::istringstream in(text);
   std::string line;
-  bool have_seed = false, have_nodes = false, have_horizon = false;
+  int line_number = 0;
+  int seed_line = 0, nodes_line = 0, horizon_line = 0;
+  std::vector<int> event_lines;
+  const auto fail = [error](int at, const std::string& reason) {
+    if (error != nullptr) *error = std::to_string(at) + ": " + reason;
+    return false;
+  };
   while (std::getline(in, line)) {
+    ++line_number;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
     std::string kind;
     fields >> kind;
+    Event event;
+    int* header_line = nullptr;
     if (kind == "seed") {
       fields >> out->seed;
-      have_seed = !fields.fail();
+      header_line = &seed_line;
     } else if (kind == "nodes") {
       fields >> out->num_nodes;
-      have_nodes = !fields.fail();
+      header_line = &nodes_line;
     } else if (kind == "horizon_ms") {
       fields >> out->horizon_ms;
-      have_horizon = !fields.fail();
+      header_line = &horizon_line;
     } else if (kind == "crash" || kind == "recover" || kind == "restore") {
-      Event event;
       event.kind = kind == "crash"     ? EventKind::kCrash
                    : kind == "recover" ? EventKind::kRecover
                                        : EventKind::kRestore;
       fields >> event.at_ms >> event.node;
-      if (fields.fail()) return false;
-      out->events.push_back(event);
     } else if (kind == "degrade") {
-      Event event;
       event.kind = EventKind::kDegrade;
       fields >> event.at_ms >> event.node >> event.factor;
-      if (fields.fail()) return false;
-      out->events.push_back(event);
     } else if (kind == "partition") {
-      Event event;
       event.kind = EventKind::kPartition;
       std::string mask;
       fields >> event.at_ms >> mask;
-      if (fields.fail()) return false;
-      event.minority_mask =
-          static_cast<uint32_t>(std::strtoul(mask.c_str(), nullptr, 0));
-      out->events.push_back(event);
+      char* end = nullptr;
+      const unsigned long long value = std::strtoull(mask.c_str(), &end, 0);
+      if (!fields.fail() && (*end != '\0' || value > 0xffffffffull)) {
+        return fail(line_number, "malformed partition mask '" + mask + "'");
+      }
+      event.minority_mask = static_cast<uint32_t>(value);
     } else if (kind == "heal") {
-      Event event;
       event.kind = EventKind::kHeal;
       fields >> event.at_ms;
-      if (fields.fail()) return false;
-      out->events.push_back(event);
     } else if (kind == "goal") {
-      Event event;
       event.kind = EventKind::kGoalChange;
       fields >> event.at_ms >> event.klass >> event.factor;
-      if (fields.fail()) return false;
-      out->events.push_back(event);
     } else if (kind == "corrupt") {
-      Event event;
       event.kind = EventKind::kCorrupt;
       fields >> event.at_ms >> event.node >> event.count >> event.salt;
-      if (fields.fail()) return false;
-      out->events.push_back(event);
     } else {
-      return false;
+      return fail(line_number, "unknown record '" + kind + "'");
+    }
+    if (fields.fail()) return fail(line_number, "malformed " + kind + " line");
+    if (header_line != nullptr) {
+      *header_line = line_number;
+    } else {
+      out->events.push_back(event);
+      event_lines.push_back(line_number);
     }
   }
-  return have_seed && have_nodes && have_horizon;
+  if (seed_line == 0 || nodes_line == 0 || horizon_line == 0) {
+    return fail(line_number, "missing seed, nodes or horizon_ms line");
+  }
+  if (out->num_nodes < 3 || out->num_nodes > 32) {
+    return fail(nodes_line, "nodes must be in 3..32, got " +
+                                std::to_string(out->num_nodes));
+  }
+  if (!std::isfinite(out->horizon_ms) || out->horizon_ms <= 0.0 ||
+      out->horizon_ms > kMaxHorizonMs) {
+    return fail(horizon_line, "horizon_ms must be in (0, " +
+                                  Number(kMaxHorizonMs) + "], got " +
+                                  Number(out->horizon_ms));
+  }
+  for (size_t i = 0; i < out->events.size(); ++i) {
+    const std::string problem =
+        EventProblem(out->events[i], *out, goal_classes);
+    if (!problem.empty()) return fail(event_lines[i], problem);
+  }
+  return true;
 }
 
 Schedule Shrink(const Schedule& schedule,

@@ -87,7 +87,18 @@ std::vector<Event> GoalChanges(const Schedule& schedule);
 /// Text round-trip for repro files: ToText output parses back to an equal
 /// schedule (doubles serialized losslessly).
 std::string ToText(const Schedule& schedule);
-bool FromText(const std::string& text, Schedule* out);
+
+/// Parses a repro file. Besides malformed lines it rejects every schedule
+/// the fault injector or a harness would abort on: a node count outside
+/// 3..32, a node at or above the node count (or partition mask bits
+/// there), a negative or non-finite time, a degrade factor not above 1, a
+/// goal factor not above 0, a corruption count of 0, and a horizon outside
+/// (0, 2^31 - 1] ms. When `goal_classes` is non-null, goal changes must
+/// name one of its classes. On failure returns false and, when `error` is
+/// non-null, sets it to "<line>: <reason>" for the first offending line.
+bool FromText(const std::string& text, Schedule* out,
+              std::string* error = nullptr,
+              const std::vector<uint32_t>* goal_classes = nullptr);
 
 /// Delta-debugging shrink (ddmin-style, deterministic): returns the
 /// smallest event subsequence for which `fails` still returns true. The

@@ -27,14 +27,13 @@ TransactionManager::TransactionManager(core::ClusterSystem* system)
 sim::Task<bool> TransactionManager::AcquireAtHome(TxnId txn, NodeId node,
                                                   PageId page, LockMode mode) {
   const NodeId home = system_->database().HomeOf(page);
-  const auto& config = system_->config();
   bool granted;
   if (home != node) {
     // Lock request travels to the page's home lock manager and back.
-    co_await system_->network().Transfer(node, home, config.control_msg_bytes,
+    co_await system_->network().Transfer(node, home, core::kControlMsgBytes,
                                          net::TrafficClass::kControl);
     granted = co_await lock_manager_.Acquire(txn, page, mode);
-    co_await system_->network().Transfer(home, node, config.control_msg_bytes,
+    co_await system_->network().Transfer(home, node, core::kControlMsgBytes,
                                          net::TrafficClass::kControl);
   } else {
     granted = co_await lock_manager_.Acquire(txn, page, mode);
@@ -104,19 +103,19 @@ sim::Task<TxnResult> TransactionManager::Run(NodeId node, ClassId klass,
       for (NodeId participant : participants) {
         // PREPARE -> participant forces a prepare record -> YES vote.
         co_await system_->network().Transfer(node, participant,
-                                             config.control_msg_bytes,
+                                             core::kControlMsgBytes,
                                              net::TrafficClass::kControl);
         Wal& remote_wal = *wals_[participant];
         co_await remote_wal.Force(remote_wal.Append(txn, kPrepareRecordBytes));
         co_await system_->network().Transfer(participant, node,
-                                             config.control_msg_bytes,
+                                             core::kControlMsgBytes,
                                              net::TrafficClass::kControl);
       }
       // Decision: force the commit record locally, then notify.
       co_await local_wal.Force(local_wal.Append(txn, kPrepareRecordBytes));
       for (NodeId participant : participants) {
         co_await system_->network().Transfer(node, participant,
-                                             config.control_msg_bytes,
+                                             core::kControlMsgBytes,
                                              net::TrafficClass::kControl);
         Wal& remote_wal = *wals_[participant];
         co_await remote_wal.Force(remote_wal.Append(txn, kPrepareRecordBytes));
@@ -129,7 +128,7 @@ sim::Task<TxnResult> TransactionManager::Run(NodeId node, ClassId klass,
       const NodeId home = system_->database().HomeOf(page);
       if (home != node) {
         co_await system_->network().Transfer(
-            node, home, config.page_bytes + config.page_header_bytes,
+            node, home, config.page_bytes + core::kPageHeaderBytes,
             net::TrafficClass::kPage);
       }
       co_await system_->node(home).disk().WritePage();

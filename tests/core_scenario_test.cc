@@ -90,15 +90,52 @@ TEST(ScenarioTest, MalformedPageRangesAndNodeListsAreRejected) {
       << error;
 }
 
-TEST(ScenarioTest, HintBudgetKeyPopulatesConfig) {
+TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
+  // Each of these once aborted the process in a constructor's
+  // MEMGOAL_CHECK, hung it (interval_ms=0 ends every interval at time 0),
+  // or wrapped to a huge unsigned value (cache_bytes=-5).
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"interval_ms=0\n", "interval_ms must be finite and > 0, got 0"},
+      {"interval_ms=-5\n", "interval_ms must be finite and > 0, got -5"},
+      {"nodes=0\n", "nodes must be in 1..65535, got 0"},
+      {"page_bytes=0\n", "page_bytes must be in 1..4294967295, got 0"},
+      {"db_pages=0\n", "db_pages must be in 1..4294967295, got 0"},
+      {"crash_node=7\n", "crash_node must be in -1..2, got 7"},
+      {"corrupt_node=9\n", "corrupt_node must be in -1..2, got 9"},
+      {"degrade_node=1\ndegrade_factor=1\n",
+       "degrade_factor must be finite and > 1, got 1"},
+      {"classes=0\n", "classes must be in 1..2000, got 0"},
+      {"class1_interarrival_ms=0\n",
+       "class1_interarrival_ms must be finite and > 0, got 0"},
+      {"class1_accesses=0\n", "class1_accesses must be in 1..2147483647"},
+      {"class1_skew=-1\n", "class1_skew must be finite and >= 0, got -1"},
+      {"scrub=idle\nscrub_interval_ms=-1\n",
+       "scrub_interval_ms must be finite and > 0, got -1"},
+      {"net_loss=2\n", "net_loss must be in [0, 1], got 2"},
+      {"net_mbit=0\n", "net_mbit must be finite and > 0, got 0"},
+      {"disk_transfer=0\n", "disk_transfer must be finite and > 0, got 0"},
+      {"corrupt_latent=3\n", "corrupt_latent must be in [0, 1], got 3"},
+      {"fault_mttf_ms=1000\nfault_mttr_ms=0\n",
+       "fault_mttr_ms must be finite and > 0, got 0"},
+      {"cache_bytes=-5\n", "cache_bytes must be >= 0, got -5"},
+      {"corrupt_count=0\n", "corrupt_count must be in 1..4294967295"},
+      {"intervals=-1\n", "intervals must be in 0..2147483647, got -1"},
+      {"net_latency_ms=nan\n", "net_latency_ms must be finite and >= 0"},
+      {"nodes=2\nfault_mttp_ms=1000\n", "fault_mttp_ms > 0 needs nodes >= 3"},
+  };
+  for (const auto& [text, message] : cases) {
+    std::string error;
+    EXPECT_FALSE(Load("class1_goal_ms=50\n" + text, &error).has_value())
+        << text;
+    EXPECT_NE(error.find(message), std::string::npos) << text << error;
+  }
+  // The edges of each range load.
   std::string error;
-  const std::optional<Scenario> scenario = Load("hint_budget=12\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  EXPECT_EQ(scenario->system.hint_fanout_budget, 12u);
-  // Default: unlimited fan-out.
-  const std::optional<Scenario> fallback = Load("nodes=3\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(fallback.has_value()) << error;
-  EXPECT_EQ(fallback->system.hint_fanout_budget, 0u);
+  EXPECT_TRUE(Load("class1_goal_ms=50\ncache_bytes=0\ncrash_node=2\n"
+                   "net_loss=1\nclass1_skew=0\nintervals=0\n",
+                   &error)
+                  .has_value())
+      << error;
 }
 
 TEST(ScenarioTest, CorruptNearMissGetsSuggestion) {

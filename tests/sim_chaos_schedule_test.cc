@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fault_injector.h"
@@ -200,6 +201,41 @@ TEST(ChaosScheduleTest, FromTextRejectsGarbage) {
   EXPECT_FALSE(FromText("", &schedule));
   EXPECT_FALSE(FromText("not a schedule\n", &schedule));
   EXPECT_FALSE(FromText("# chaos schedule v1\nseed banana\n", &schedule));
+
+  // Each of these parsed once and then aborted the fault injector, the
+  // system or the replay harness (whose only goal class is 1). Each is one
+  // edit of a valid 4-node repro, and the error names the edited line.
+  const std::string header =
+      "# chaos schedule v1\nseed 1\nnodes 4\nhorizon_ms 60000\n";
+  const std::vector<uint32_t> goal_classes = {1};
+  std::string error;
+  ASSERT_TRUE(FromText(header + "corrupt 32269.082215928396 3 2 "
+                                "16062342724189915073\n",
+                       &schedule, &error, &goal_classes))
+      << error;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {header + "crash 100 7\n", "5: node 7 is not below nodes 4"},
+      {header + "corrupt 100 9 1 1\n", "5: node 9 is not below nodes 4"},
+      {"seed 1\nnodes 0\nhorizon_ms 60000\n", "2: nodes must be in 3..32"},
+      {header + "degrade 100 1 -5\n", "5: degrade factor must be"},
+      {"seed 1\nnodes 4\nhorizon_ms 1e300\n", "3: horizon_ms must be in"},
+      {header + "goal 100 5 2.0\n", "5: goal class 5 is not"},
+      {header + "goal 100 1 -2.0\n", "5: goal factor must be"},
+      {header + "heal -1\n", "5: time must be finite and >= 0"},
+      {header + "partition 100 0x10\n", "5: partition mask has bits"},
+      {header + "partition 100 0x1zz\n", "5: malformed partition mask"},
+      {header + "corrupt 100 1 0 1\n", "5: corrupt count must be >= 1"},
+      {"seed 1\nnodes 33\nhorizon_ms 60000\n", "2: nodes must be in 3..32"},
+      {"seed 1\nnodes 4\nhorizon_ms 0\n", "3: horizon_ms must be in"},
+      {"seed 1\nnodes 4\n", "2: missing seed, nodes or horizon_ms"},
+  };
+  for (const auto& [text, message] : cases) {
+    error.clear();
+    EXPECT_FALSE(FromText(text, &schedule, &error, &goal_classes)) << text;
+    EXPECT_EQ(error.rfind(message, 0), 0u) << text << " -> " << error;
+  }
+  // Without a goal-class list any class parses.
+  EXPECT_TRUE(FromText(header + "goal 100 5 2.0\n", &schedule));
 }
 
 TEST(ChaosScheduleTest, ShrinkFindsMinimalFailingSubset) {

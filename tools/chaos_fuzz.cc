@@ -189,9 +189,10 @@ int Run(memgoal::common::Config& config) {
       return 1;
     }
     chaos::Schedule schedule;
-    if (!chaos::FromText(text, &schedule)) {
-      std::fprintf(stderr, "error: malformed repro %s\n",
-                   replay_path.c_str());
+    std::string error;
+    if (!chaos::FromText(text, &schedule, &error, &limits.goal_classes)) {
+      std::fprintf(stderr, "error: %s:%s\n", replay_path.c_str(),
+                   error.c_str());
       return 1;
     }
     violation = RunSchedule(schedule, bug, goal_ms, corrupt);

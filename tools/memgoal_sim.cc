@@ -384,20 +384,22 @@ int Run(memgoal::common::Config& config) {
         static_cast<unsigned long long>(
             system.grants_rejected_stale_epoch()));
   }
-  if (fault_stats.corruptions > 0 || system.pages_scrubbed() > 0) {
+  const memgoal::core::IntegrityService::Ledger& ledger =
+      system.integrity().ledger();
+  if (fault_stats.corruptions > 0 || ledger.pages_scrubbed > 0) {
     std::fprintf(
         stderr,
         "# corruption: injected=%llu detected=%llu served=%llu "
         "latent_served=%llu quarantined=%llu repaired=%llu lost=%llu "
         "scrubbed=%llu\n",
         static_cast<unsigned long long>(fault_stats.corruptions),
-        static_cast<unsigned long long>(system.corrupt_detected()),
-        static_cast<unsigned long long>(system.corrupt_served()),
-        static_cast<unsigned long long>(system.latent_served()),
-        static_cast<unsigned long long>(system.quarantine_decisions()),
-        static_cast<unsigned long long>(system.repairs_replica()),
-        static_cast<unsigned long long>(system.pages_lost()),
-        static_cast<unsigned long long>(system.pages_scrubbed()));
+        static_cast<unsigned long long>(ledger.detected),
+        static_cast<unsigned long long>(ledger.served),
+        static_cast<unsigned long long>(ledger.latent_served),
+        static_cast<unsigned long long>(ledger.quarantine_decisions),
+        static_cast<unsigned long long>(ledger.repairs_replica),
+        static_cast<unsigned long long>(ledger.pages_lost),
+        static_cast<unsigned long long>(ledger.pages_scrubbed));
   }
   if (audit) {
     auditor.WriteReport(stderr);
