@@ -657,7 +657,13 @@ int Run(int argc, char** argv) {
   const double degrade_at = args.GetDouble("degrade_at_ms", 60000.0);
   const double degrade_duration =
       args.GetDouble("degrade_duration_ms", quick ? 25000.0 : 50000.0);
-  BenchReporter reporter("faults", &args);
+  // The gray, partition and corrupt legs report under names of their own,
+  // so each has its own committed baseline beside the crash leg's.
+  BenchReporter reporter(gray        ? "faults_gray"
+                         : partition ? "faults_partition"
+                         : corrupt   ? "faults_corrupt"
+                                     : "faults",
+                         &args);
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;

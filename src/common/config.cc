@@ -97,33 +97,57 @@ std::string Config::GetString(const std::string& key,
   return Lookup(key).value_or(fallback);
 }
 
-int64_t Config::GetInt(const std::string& key, int64_t fallback) {
+std::optional<int64_t> Config::TryGetInt(const std::string& key,
+                                         int64_t fallback) {
   auto v = Lookup(key);
   if (!v) return fallback;
   char* end = nullptr;
   const int64_t result = std::strtoll(v->c_str(), &end, 10);
-  MEMGOAL_CHECK_MSG(end != v->c_str() && *end == '\0',
-                    ("bad integer for key " + key + ": " + *v).c_str());
+  if (end == v->c_str() || *end != '\0') return std::nullopt;
   return result;
 }
 
-double Config::GetDouble(const std::string& key, double fallback) {
+std::optional<double> Config::TryGetDouble(const std::string& key,
+                                           double fallback) {
   auto v = Lookup(key);
   if (!v) return fallback;
   char* end = nullptr;
   const double result = std::strtod(v->c_str(), &end);
-  MEMGOAL_CHECK_MSG(end != v->c_str() && *end == '\0',
-                    ("bad double for key " + key + ": " + *v).c_str());
+  if (end == v->c_str() || *end != '\0') return std::nullopt;
   return result;
 }
 
-bool Config::GetBool(const std::string& key, bool fallback) {
+std::optional<bool> Config::TryGetBool(const std::string& key,
+                                       bool fallback) {
   auto v = Lookup(key);
   if (!v) return fallback;
   if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
   if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
-  MEMGOAL_CHECK_MSG(false, ("bad boolean for key " + key + ": " + *v).c_str());
-  return fallback;
+  return std::nullopt;
+}
+
+int64_t Config::GetInt(const std::string& key, int64_t fallback) {
+  const std::optional<int64_t> value = TryGetInt(key, fallback);
+  MEMGOAL_CHECK_MSG(value.has_value(),
+                    ("bad integer for key " + key + ": " + *Lookup(key))
+                        .c_str());
+  return *value;
+}
+
+double Config::GetDouble(const std::string& key, double fallback) {
+  const std::optional<double> value = TryGetDouble(key, fallback);
+  MEMGOAL_CHECK_MSG(value.has_value(),
+                    ("bad double for key " + key + ": " + *Lookup(key))
+                        .c_str());
+  return *value;
+}
+
+bool Config::GetBool(const std::string& key, bool fallback) {
+  const std::optional<bool> value = TryGetBool(key, fallback);
+  MEMGOAL_CHECK_MSG(value.has_value(),
+                    ("bad boolean for key " + key + ": " + *Lookup(key))
+                        .c_str());
+  return *value;
 }
 
 std::vector<std::string> Config::UnusedKeys() const {

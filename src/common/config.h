@@ -40,6 +40,13 @@ class Config {
   double GetDouble(const std::string& key, double fallback);
   bool GetBool(const std::string& key, bool fallback);
 
+  /// The same conversions without the abort: `fallback` when the key is
+  /// absent, nullopt when it is present but does not convert. For readers
+  /// that report a bad value themselves (core::LoadScenario).
+  std::optional<int64_t> TryGetInt(const std::string& key, int64_t fallback);
+  std::optional<double> TryGetDouble(const std::string& key, double fallback);
+  std::optional<bool> TryGetBool(const std::string& key, bool fallback);
+
   /// Keys that were set but never read through a getter. Useful to warn
   /// about misspelled overrides.
   std::vector<std::string> UnusedKeys() const;

@@ -1,6 +1,7 @@
 #include "core/measure.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -13,27 +14,35 @@ namespace {
 
 constexpr size_t kNpos = std::numeric_limits<size_t>::max();
 
-double MedianOf(std::vector<double> values) {
-  MEMGOAL_CHECK(!values.empty());
-  const size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
+/// Median of values[0, count); reorders them.
+double MedianInPlace(double* values, size_t count) {
+  MEMGOAL_CHECK(count > 0);
+  const size_t mid = count / 2;
+  std::nth_element(values, values + mid, values + count);
   double median = values[mid];
-  if (values.size() % 2 == 0) {
+  if (count % 2 == 0) {
     // Lower middle is the max of the left half after nth_element.
-    median = (median + *std::max_element(values.begin(),
-                                         values.begin() + mid)) /
-             2.0;
+    median = (median + *std::max_element(values, values + mid)) / 2.0;
   }
   return median;
 }
 
 /// |x - median| in units of the normal-consistent MAD scale over `window`.
 double RobustZ(const std::deque<double>& window, double x) {
-  std::vector<double> values(window.begin(), window.end());
-  const double median = MedianOf(values);
-  for (double& v : values) v = std::fabs(v - median);
+  // Both medians select over the window in its own order, on the stack.
+  constexpr size_t kMax = MeasureStore::kOutlierWindow;
+  const size_t count = window.size();
+  MEMGOAL_CHECK(count <= kMax);
+  std::array<double, kMax> values;
+  std::array<double, kMax> scratch;
+  std::copy(window.begin(), window.end(), values.begin());
+  std::copy_n(values.begin(), count, scratch.begin());
+  const double median = MedianInPlace(scratch.data(), count);
+  for (size_t i = 0; i < count; ++i) {
+    scratch[i] = std::fabs(values[i] - median);
+  }
   // 1.4826 makes the MAD estimate σ for normal data.
-  double scale = 1.4826 * MedianOf(std::move(values));
+  double scale = 1.4826 * MedianInPlace(scratch.data(), count);
   if (scale <= 0.0) {
     // Degenerate window (more than half the samples identical): fall back
     // to a small relative scale so a genuinely different value still

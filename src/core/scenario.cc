@@ -42,40 +42,64 @@ std::string BadPageRange(const std::string& key, const std::string& value,
          std::to_string(db_pages) + "), got '" + value + "'";
 }
 
-// Reads the numeric scenario keys, so the constructors' MEMGOAL_CHECKs are
-// never the first line of validation. A value outside its key's range is
-// recorded (the first one wins) and replaced by the key's default so the
-// remaining keys can still be read; LoadScenario then fails with
+// Reads the numeric and boolean scenario keys, so neither a constructor's
+// MEMGOAL_CHECK nor common::Config's conversion check is ever the first line
+// of validation. A value that does not parse, or parses outside its key's
+// range, is recorded (the first one wins) and replaced by the key's default
+// so the remaining keys can still be read; LoadScenario then fails with
 // "<key> must be <range>, got <value>".
 class NumberReader {
  public:
+  static constexpr int64_t kNoMin = std::numeric_limits<int64_t>::min();
   static constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
 
   explicit NumberReader(common::Config& config) : config_(config) {}
 
   int64_t Int(const std::string& key, int64_t fallback, int64_t lo,
               int64_t hi = kNoMax) {
-    const int64_t value = config_.GetInt(key, fallback);
-    if (value >= lo && value <= hi) return value;
     const std::string range =
-        hi == kNoMax ? ">= " + std::to_string(lo)
-                     : "in " + std::to_string(lo) + ".." + std::to_string(hi);
-    return Reject(key, range, std::to_string(value), fallback);
+        lo == kNoMin && hi == kNoMax ? "an integer"
+        : hi == kNoMax ? ">= " + std::to_string(lo)
+                       : "in " + std::to_string(lo) + ".." + std::to_string(hi);
+    const std::optional<int64_t> value = config_.TryGetInt(key, fallback);
+    if (!value.has_value()) return Reject(key, range, Raw(key), fallback);
+    if (*value >= lo && *value <= hi) return *value;
+    return Reject(key, range, std::to_string(*value), fallback);
+  }
+  /// Any int64 (seeds and salts, reinterpreted as uint64).
+  int64_t AnyInt(const std::string& key, int64_t fallback) {
+    return Int(key, fallback, kNoMin);
+  }
+  double Number(const std::string& key, double fallback) {
+    const std::optional<double> value = config_.TryGetDouble(key, fallback);
+    if (value.has_value()) return *value;
+    return Reject(key, "a number", Raw(key), fallback);
   }
   double AtLeast(const std::string& key, double fallback, double lo) {
-    const double value = config_.GetDouble(key, fallback);
-    if (std::isfinite(value) && value >= lo) return value;
-    return Reject(key, "finite and >= " + Text(lo), Text(value), fallback);
+    const std::string range = "finite and >= " + Text(lo);
+    const std::optional<double> value = config_.TryGetDouble(key, fallback);
+    if (!value.has_value()) return Reject(key, range, Raw(key), fallback);
+    if (std::isfinite(*value) && *value >= lo) return *value;
+    return Reject(key, range, Text(*value), fallback);
   }
   double Above(const std::string& key, double fallback, double lo) {
-    const double value = config_.GetDouble(key, fallback);
-    if (std::isfinite(value) && value > lo) return value;
-    return Reject(key, "finite and > " + Text(lo), Text(value), fallback);
+    const std::string range = "finite and > " + Text(lo);
+    const std::optional<double> value = config_.TryGetDouble(key, fallback);
+    if (!value.has_value()) return Reject(key, range, Raw(key), fallback);
+    if (std::isfinite(*value) && *value > lo) return *value;
+    return Reject(key, range, Text(*value), fallback);
   }
   double Fraction(const std::string& key, double fallback) {
-    const double value = config_.GetDouble(key, fallback);
-    if (value >= 0.0 && value <= 1.0) return value;
-    return Reject(key, "in [0, 1]", Text(value), fallback);
+    const std::optional<double> value = config_.TryGetDouble(key, fallback);
+    if (!value.has_value()) return Reject(key, "in [0, 1]", Raw(key), fallback);
+    if (*value >= 0.0 && *value <= 1.0) return *value;
+    return Reject(key, "in [0, 1]", Text(*value), fallback);
+  }
+  bool Bool(const std::string& key, bool fallback) {
+    const std::optional<bool> value = config_.TryGetBool(key, fallback);
+    if (value.has_value()) return *value;
+    return Reject(key, "1/0, true/false, yes/no or on/off", Raw(key),
+                  fallback);
   }
 
   const std::string& error() const { return error_; }
@@ -85,6 +109,9 @@ class NumberReader {
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "%g", value);
     return buffer;
+  }
+  std::string Raw(const std::string& key) {
+    return config_.GetString(key, "");
   }
   template <typename T>
   T Reject(const std::string& key, const std::string& range,
@@ -144,7 +171,7 @@ std::optional<Scenario> LoadScenario(common::Config& config,
       static_cast<uint32_t>(read.Int("db_pages", 2000, 1, kMaxUint32));
   system_config.observation_interval_ms =
       read.Above("interval_ms", 5000.0, 0.0);
-  system_config.seed = static_cast<uint64_t>(config.GetInt("seed", 1));
+  system_config.seed = static_cast<uint64_t>(read.AnyInt("seed", 1));
   const std::string policy = config.GetString("policy", "cost-based");
   if (policy == "cost-based") {
     system_config.policy = cache::PolicyKind::kCostBased;
@@ -210,9 +237,9 @@ std::optional<Scenario> LoadScenario(common::Config& config,
   system_config.faults.mttf_ms = read.AtLeast("fault_mttf_ms", 0.0, 0.0);
   system_config.faults.mttr_ms = read.Above("fault_mttr_ms", 10000.0, 0.0);
   system_config.faults.seed =
-      static_cast<uint64_t>(config.GetInt("fault_seed", 0xFA171));
+      static_cast<uint64_t>(read.AnyInt("fault_seed", 0xFA171));
   system_config.faults.min_live_nodes =
-      static_cast<uint32_t>(config.GetInt("fault_min_live", 1));
+      static_cast<uint32_t>(read.Int("fault_min_live", 1, 0, kMaxUint32));
   const int64_t degrade_node = read.Int("degrade_node", -1, -1, last_node);
   const double degrade_at = read.AtLeast("degrade_at_ms", 0.0, 0.0);
   const double restore_at = read.AtLeast("restore_at_ms", 0.0, 0.0);
@@ -272,7 +299,7 @@ std::optional<Scenario> LoadScenario(common::Config& config,
   const double corrupt_at = read.AtLeast("corrupt_at_ms", 0.0, 0.0);
   const int64_t corrupt_count = read.Int("corrupt_count", 1, 1, kMaxUint32);
   const uint64_t corrupt_salt =
-      static_cast<uint64_t>(config.GetInt("corrupt_salt", 1));
+      static_cast<uint64_t>(read.AnyInt("corrupt_salt", 1));
   system_config.faults.mttc_ms = read.AtLeast("fault_mttc_ms", 0.0, 0.0);
   system_config.corrupt_latent_fraction = read.Fraction("corrupt_latent", 0.0);
   const std::string scrub = config.GetString("scrub", "off");
@@ -310,8 +337,8 @@ std::optional<Scenario> LoadScenario(common::Config& config,
 
   scenario.intervals = static_cast<int>(
       read.Int("intervals", 40, 0, std::numeric_limits<int>::max()));
-  scenario.audit = config.GetBool("audit", false);
-  scenario.chaos_seed = static_cast<uint64_t>(config.GetInt("chaos_seed", 0));
+  scenario.audit = read.Bool("audit", false);
+  scenario.chaos_seed = static_cast<uint64_t>(read.AnyInt("chaos_seed", 0));
   if (scenario.chaos_seed != 0) {
     // Overlay a generated chaos schedule on the scripted faults. The
     // schedule's own goal-churn events are disabled — scenario files define
@@ -339,10 +366,15 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     const std::string prefix = "class" + std::to_string(c) + "_";
     workload::ClassSpec spec;
     spec.id = static_cast<ClassId>(c);
-    const double goal = config.GetDouble(prefix + "goal_ms", 0.0);
+    const double goal = read.Number(prefix + "goal_ms", 0.0);
     if (c != 0 && goal > 0.0) spec.goal_rt_ms = goal;
     if (c != 0 && goal <= 0.0) {
-      if (error) *error = prefix + "goal_ms required for goal class";
+      // An unparseable goal_ms (read as 0) reports as such.
+      if (error) {
+        *error = read.error().empty()
+                     ? prefix + "goal_ms required for goal class"
+                     : read.error();
+      }
       return std::nullopt;
     }
     const PageId slice =

@@ -53,9 +53,31 @@ void Matrix::SetRow(size_t i, const Vector& row) {
 Vector Matrix::Multiply(const Vector& x) const {
   MEMGOAL_CHECK(x.size() == cols_);
   Vector y(rows_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
+  // Four rows per pass: four independent dot-product chains, each in
+  // column order.
+  size_t i = 0;
+  for (; i + 4 <= rows_; i += 4) {
+    const double* r0 = RowData(i);
+    const double* r1 = RowData(i + 1);
+    const double* r2 = RowData(i + 2);
+    const double* r3 = RowData(i + 3);
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t j = 0; j < cols_; ++j) {
+      const double xj = x[j];
+      s0 += r0[j] * xj;
+      s1 += r1[j] * xj;
+      s2 += r2[j] * xj;
+      s3 += r3[j] * xj;
+    }
+    y[i] = s0;
+    y[i + 1] = s1;
+    y[i + 2] = s2;
+    y[i + 3] = s3;
+  }
+  for (; i < rows_; ++i) {
+    const double* r = RowData(i);
     double sum = 0.0;
-    for (size_t j = 0; j < cols_; ++j) sum += (*this)(i, j) * x[j];
+    for (size_t j = 0; j < cols_; ++j) sum += r[j] * x[j];
     y[i] = sum;
   }
   return y;

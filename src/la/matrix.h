@@ -25,8 +25,15 @@ void Axpy(double alpha, const Vector& x, Vector* y);
 
 /// Dense row-major matrix sized at construction.
 ///
-/// The problems in this repository are tiny (N <= ~50 nodes), so the
-/// implementation favours clarity and checkability over blocking or SIMD.
+/// Kernel contract, shared by every la kernel (Multiply, Invert,
+/// RowReplaceInverse, the revised simplex): each output is computed by a
+/// fixed sequence of floating-point operations in a fixed order, the one a
+/// plain loop over the mathematical definition would use. Independent
+/// outputs may be interleaved (four rows per pass, say, so four add chains
+/// are in flight), but a sum is never reassociated, split into partial
+/// sums or contracted into fused multiply-adds. Every result is therefore
+/// bit-identical however a kernel is scheduled, which the golden digests
+/// (tests/la_kernel_golden_test.cc and the scenario goldens) pin.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -45,6 +52,16 @@ class Matrix {
   double operator()(size_t i, size_t j) const {
     MEMGOAL_DCHECK(i < rows_ && j < cols_);
     return data_[i * cols_ + j];
+  }
+
+  /// Row i's cols() contiguous elements.
+  double* RowData(size_t i) {
+    MEMGOAL_DCHECK(i < rows_);
+    return data_.data() + i * cols_;
+  }
+  const double* RowData(size_t i) const {
+    MEMGOAL_DCHECK(i < rows_);
+    return data_.data() + i * cols_;
   }
 
   /// Copies row i into a vector.

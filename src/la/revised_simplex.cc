@@ -1,6 +1,7 @@
 #include "la/revised_simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -36,10 +37,17 @@ constexpr int kStallLimit = 100;
 /// ipiv row swaps: applying the recorded swaps to B's rows gives LU.
 class DenseLu {
  public:
-  /// Factors `b` (row-major, m x m, consumed). False if singular.
-  bool Factor(std::vector<double> b, size_t m) {
+  /// Zeroed row-major m x m storage for the basis matrix: fill it, then
+  /// call Factor().
+  std::vector<double>& Load(size_t m) {
     m_ = m;
-    lu_ = std::move(b);
+    lu_.assign(m * m, 0.0);
+    return lu_;
+  }
+
+  /// Factors the loaded matrix in place. False if singular.
+  bool Factor() {
+    const size_t m = m_;
     ipiv_.resize(m);
     for (size_t k = 0; k < m; ++k) {
       size_t p = k;
@@ -118,13 +126,6 @@ class DenseLu {
   std::vector<size_t> ipiv_;
 };
 
-/// One product-form update: basis column at row `r` replaced by the
-/// FTRANned entering column `abar` (B_new^{-1} = E · B_old^{-1}).
-struct Eta {
-  size_t r;
-  Vector abar;
-};
-
 using VarStatus = SimplexBasis::VarStatus;
 
 class RevisedSimplex {
@@ -147,19 +148,22 @@ class RevisedSimplex {
       slack_upper_[i] =
           lp.relations[i] == LinearProgram::Relation::kEq ? 0.0 : kInf;
     }
-    cols_idx_.resize(n_);
-    cols_val_.resize(n_);
+    col_start_.resize(n_ + 1);
+    col_start_[0] = 0;
     for (size_t j = 0; j < n_; ++j) {
       for (size_t i = 0; i < m_; ++i) {
         const double v = row_flip[i] * lp.rows[i][j];
         if (v != 0.0) {
-          cols_idx_[j].push_back(static_cast<uint32_t>(i));
-          cols_val_[j].push_back(v);
+          col_row_.push_back(static_cast<uint32_t>(i));
+          col_val_.push_back(v);
         }
       }
+      col_start_[j + 1] = col_row_.size();
     }
     bscale_ = 1.0;
     for (double b : rhs_) bscale_ = std::max(bscale_, std::fabs(b));
+    y_.resize(m_);
+    abar_.resize(m_);
   }
 
   SimplexResult Solve(const SimplexBasis* warm) {
@@ -278,8 +282,8 @@ class RevisedSimplex {
   template <typename Fn>
   void ForColumn(size_t j, Fn&& fn) const {
     if (j < n_) {
-      for (size_t k = 0; k < cols_idx_[j].size(); ++k) {
-        fn(cols_idx_[j][k], cols_val_[j][k]);
+      for (size_t k = col_start_[j]; k < col_start_[j + 1]; ++k) {
+        fn(col_row_[k], col_val_[k]);
       }
     } else if (j < n_ + m_) {
       fn(j - n_, 1.0);
@@ -288,69 +292,115 @@ class RevisedSimplex {
     }
   }
 
-  double PriceColumn(const Vector& y, size_t j) const {
-    double dot = 0.0;
-    ForColumn(j, [&](size_t i, double v) { dot += y[i] * v; });
-    return dot;
-  }
+  /// Column e of the eta file: the FTRANned entering column of the e-th
+  /// pivot since the last refactorization (B_new^{-1} = E · B_old^{-1}).
+  const double* EtaColumn(size_t e) const { return &eta_cols_[e * m_]; }
 
-  /// abar := B^{-1} a_j (LU solve plus the eta file, oldest first).
-  Vector FtranColumn(size_t j) const {
-    Vector v(m_, 0.0);
-    ForColumn(j, [&](size_t i, double val) { v[i] = val; });
-    lu_.Ftran(&v);
-    for (const Eta& eta : etas_) {
-      const double t = v[eta.r] / eta.abar[eta.r];
+  /// v := B^{-1} v (LU solve plus the eta file, oldest first).
+  void Ftran(Vector* v) const {
+    Vector& x = *v;
+    lu_.Ftran(&x);
+    for (size_t e = 0; e < eta_rows_.size(); ++e) {
+      const double* abar = EtaColumn(e);
+      const size_t r = eta_rows_[e];
+      const double t = x[r] / abar[r];
       if (t != 0.0) {
-        for (size_t i = 0; i < m_; ++i) v[i] -= eta.abar[i] * t;
+        for (size_t i = 0; i < m_; ++i) x[i] -= abar[i] * t;
       }
-      v[eta.r] = t;
+      x[r] = t;
     }
-    return v;
   }
 
-  /// y := B^{-T} c_B (eta file transposed, newest first, then LU).
-  Vector BtranCosts() const {
-    Vector y(m_);
-    for (size_t p = 0; p < m_; ++p) y[p] = cost_[basic_[p]];
-    for (size_t e = etas_.size(); e-- > 0;) {
-      const Eta& eta = etas_[e];
+  /// abar_ := B^{-1} a_j.
+  void FtranColumn(size_t j) {
+    std::fill(abar_.begin(), abar_.end(), 0.0);
+    ForColumn(j, [&](size_t i, double val) { abar_[i] = val; });
+    Ftran(&abar_);
+  }
+
+  /// y_ := B^{-T} c_B (eta file transposed, newest first, then LU).
+  void BtranCosts() {
+    for (size_t p = 0; p < m_; ++p) y_[p] = cost_[basic_[p]];
+    for (size_t e = eta_rows_.size(); e-- > 0;) {
+      const double* abar = EtaColumn(e);
+      const size_t r = eta_rows_[e];
       double sum = 0.0;
-      for (size_t i = 0; i < m_; ++i) sum += eta.abar[i] * y[i];
-      y[eta.r] = (y[eta.r] - (sum - eta.abar[eta.r] * y[eta.r])) /
-                 eta.abar[eta.r];
+      for (size_t i = 0; i < m_; ++i) sum += abar[i] * y_[i];
+      y_[r] = (y_[r] - (sum - abar[r] * y_[r])) / abar[r];
     }
-    lu_.Btran(&y);
-    return y;
+    lu_.Btran(&y_);
+  }
+
+  /// Prices every column against the current basis. violation_[j] is how
+  /// far column j's reduced cost points into its feasible direction, or 0
+  /// when it cannot enter (basic, fixed, or priced out within kPriceEps).
+  /// The verdict is built from bit masks, not branches: which columns are
+  /// eligible changes from pass to pass, and a branch on it mispredicts
+  /// about once per column.
+  void Price() {
+    BtranCosts();
+    for (size_t j = 0; j < ncols_; ++j) {
+      double dot = 0.0;
+      ForColumn(j, [&](size_t i, double v) { dot += y_[i] * v; });
+      const double d = cost_[j] - dot;
+      const double tol =
+          kPriceEps * (1.0 + std::fabs(cost_[j]) + std::fabs(dot));
+      const VarStatus s = vstat_[j];
+      // All ones when the condition holds, else zero.
+      const uint64_t lower =
+          0 - static_cast<uint64_t>((s == VarStatus::kAtLower) & (d < -tol));
+      const uint64_t upper =
+          0 - static_cast<uint64_t>((s == VarStatus::kAtUpper) & (d > tol));
+      const uint64_t movable = 0 - static_cast<uint64_t>(upper_[j] != 0.0);
+      violation_[j] = std::bit_cast<double>(
+          ((std::bit_cast<uint64_t>(-d) & lower) |
+           (std::bit_cast<uint64_t>(d) & upper)) &
+          movable);
+    }
+  }
+
+  /// Entering column from violation_: Dantzig's largest violation (the
+  /// first of equal ones), or under `bland` the smallest eligible index.
+  /// kNpos when no column can enter (optimal).
+  size_t SelectEntering(bool bland) const {
+    if (bland) {
+      for (size_t j = 0; j < ncols_; ++j) {
+        if (violation_[j] > 0.0) return j;
+      }
+      return kNpos;
+    }
+    size_t entering = kNpos;
+    double best = 0.0;
+    for (size_t j = 0; j < ncols_; ++j) {
+      const double v = violation_[j];
+      const bool better = v > best;
+      best = better ? v : best;
+      entering = better ? j : entering;
+    }
+    return entering;
   }
 
   /// Rebuilds the LU from the current basis; clears the eta file.
   bool Refactor() {
-    std::vector<double> b(m_ * m_, 0.0);
+    std::vector<double>& b = lu_.Load(m_);
     for (size_t p = 0; p < m_; ++p) {
       ForColumn(basic_[p], [&](size_t i, double v) { b[i * m_ + p] = v; });
     }
-    etas_.clear();
-    return lu_.Factor(std::move(b), m_);
+    eta_rows_.clear();
+    eta_cols_.clear();
+    return lu_.Factor();
   }
 
   /// x_B := B^{-1} (b - sum of nonbasic columns at their bound values).
   void ComputeBasicValues() {
-    Vector r = rhs_;
+    r_ = rhs_;
     for (size_t j = 0; j < ncols_; ++j) {
       if (vstat_[j] == VarStatus::kBasic || x_[j] == 0.0) continue;
       const double xj = x_[j];
-      ForColumn(j, [&](size_t i, double v) { r[i] -= v * xj; });
+      ForColumn(j, [&](size_t i, double v) { r_[i] -= v * xj; });
     }
-    lu_.Ftran(&r);
-    for (const Eta& eta : etas_) {
-      const double t = r[eta.r] / eta.abar[eta.r];
-      if (t != 0.0) {
-        for (size_t i = 0; i < m_; ++i) r[i] -= eta.abar[i] * t;
-      }
-      r[eta.r] = t;
-    }
-    for (size_t p = 0; p < m_; ++p) x_[basic_[p]] = r[p];
+    Ftran(&r_);
+    for (size_t p = 0; p < m_; ++p) x_[basic_[p]] = r_[p];
   }
 
   /// Installs the slack basis plus artificials for initially-violated rows.
@@ -436,46 +486,29 @@ class RevisedSimplex {
   PhaseOutcome Iterate(bool phase1) {
     bool bland = false;
     int stalled = 0;
+    // Reduced costs depend only on the basis and the cost vector, so they
+    // are priced once per basis: after a pivot or a refactorization, not
+    // after a bound flip.
+    bool priced = false;
+    violation_.resize(ncols_);
     while (true) {
       if (iterations_ >= max_iterations_) {
         return PhaseOutcome::kIterationLimit;
       }
-      const Vector y = BtranCosts();
+      if (!priced) {
+        Price();
+        priced = true;
+      }
 
       // Pricing: Dantzig (largest reduced-cost violation), or Bland's
       // smallest eligible index after a degeneracy stall.
-      size_t entering = kNpos;
-      double entering_dir = 0.0;
-      double best_violation = 0.0;
-      for (size_t j = 0; j < ncols_; ++j) {
-        if (vstat_[j] == VarStatus::kBasic) continue;
-        if (upper_[j] == 0.0) continue;  // fixed (eq slack, spent artificial)
-        const double dot = PriceColumn(y, j);
-        const double d = cost_[j] - dot;
-        const double tol =
-            kPriceEps * (1.0 + std::fabs(cost_[j]) + std::fabs(dot));
-        double violation = 0.0;
-        if (vstat_[j] == VarStatus::kAtLower && d < -tol) {
-          violation = -d;
-        } else if (vstat_[j] == VarStatus::kAtUpper && d > tol) {
-          violation = d;
-        } else {
-          continue;
-        }
-        if (bland) {
-          entering = j;
-          entering_dir = vstat_[j] == VarStatus::kAtLower ? 1.0 : -1.0;
-          break;
-        }
-        if (violation > best_violation) {
-          best_violation = violation;
-          entering = j;
-          entering_dir = vstat_[j] == VarStatus::kAtLower ? 1.0 : -1.0;
-        }
-      }
+      const size_t entering = SelectEntering(bland);
       if (entering == kNpos) return PhaseOutcome::kOptimal;
+      const double entering_dir =
+          vstat_[entering] == VarStatus::kAtLower ? 1.0 : -1.0;
 
-      Vector abar = FtranColumn(entering);
+      FtranColumn(entering);
+      const Vector& abar = abar_;
       double colmax = 0.0;
       for (double v : abar) colmax = std::max(colmax, std::fabs(v));
       const double pivot_tol = kPivotTol * std::max(1.0, colmax);
@@ -531,10 +564,14 @@ class RevisedSimplex {
       }
       if (leave_row == kNpos) {
         // Bound flip: the entering variable crosses to its other bound
-        // without any basis change.
+        // without any basis change, so y and every reduced cost stand. The
+        // flipped column itself cannot re-enter: it entered with d beyond
+        // the tolerance on one side, and its new bound prices only the
+        // other side.
         x_[entering] = entering_dir > 0.0 ? upper_[entering] : 0.0;
         vstat_[entering] = entering_dir > 0.0 ? VarStatus::kAtUpper
                                               : VarStatus::kAtLower;
+        violation_[entering] = 0.0;
         continue;
       }
       const size_t leaving = basic_[leave_row];
@@ -544,8 +581,10 @@ class RevisedSimplex {
           leave_to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
       vstat_[entering] = VarStatus::kBasic;
       basic_[leave_row] = entering;
-      etas_.push_back(Eta{leave_row, std::move(abar)});
-      if (etas_.size() >= kRefactorInterval) {
+      eta_rows_.push_back(leave_row);
+      eta_cols_.insert(eta_cols_.end(), abar.begin(), abar.end());
+      priced = false;
+      if (eta_rows_.size() >= kRefactorInterval) {
         if (!Refactor()) return PhaseOutcome::kIterationLimit;
         ComputeBasicValues();
       }
@@ -558,8 +597,11 @@ class RevisedSimplex {
   size_t m_ = 0;
   double sign_ = 1.0;
   double bscale_ = 1.0;
-  std::vector<std::vector<uint32_t>> cols_idx_;
-  std::vector<std::vector<double>> cols_val_;
+  // Structural columns in compressed sparse column form: column j's
+  // (row, value) pairs sit at [col_start_[j], col_start_[j + 1]).
+  std::vector<size_t> col_start_;
+  std::vector<uint32_t> col_row_;
+  Vector col_val_;
   Vector rhs_;
   Vector slack_upper_;
 
@@ -573,7 +615,16 @@ class RevisedSimplex {
   std::vector<VarStatus> vstat_;
   std::vector<size_t> basic_;
   DenseLu lu_;
-  std::vector<Eta> etas_;
+  // The eta file: pivot row and FTRANned column (m_ values each, in
+  // eta_cols_) of every pivot since the last refactorization.
+  std::vector<size_t> eta_rows_;
+  Vector eta_cols_;
+  // Scratch reused across iterations: y = B^{-T} c_B, the entering column,
+  // the basic-value solve and each column's pricing verdict.
+  Vector y_;
+  Vector abar_;
+  Vector r_;
+  Vector violation_;
   int iterations_ = 0;
 };
 

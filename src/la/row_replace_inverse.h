@@ -60,7 +60,10 @@ class RowReplaceInverse {
   double ConditionEstimate() const;
 
  private:
-  double Denominator(size_t row, const Vector& new_row) const;
+  /// w := new_row - row `row` of A.
+  void RowDifference(size_t row, const Vector& new_row, Vector* w) const;
+  /// The Sherman–Morrison denominator 1 + w^T A^{-1} e_row.
+  double Denominator(size_t row, const Vector& w) const;
 
   bool initialized_ = false;
   int updates_since_refresh_ = 0;
@@ -70,6 +73,12 @@ class RowReplaceInverse {
   /// max), kept in lockstep with the matrices.
   Vector a_row_abs_;
   Vector inverse_row_abs_;
+  /// ReplaceRow scratch: w = new_row - old_row, t = w^T A^{-1}, and the
+  /// rows it updates with their scales.
+  Vector w_;
+  Vector t_;
+  std::vector<size_t> rows_;
+  Vector scales_;
 };
 
 }  // namespace memgoal::la

@@ -92,8 +92,10 @@ TEST(ScenarioTest, MalformedPageRangesAndNodeListsAreRejected) {
 
 TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
   // Each of these once aborted the process in a constructor's
-  // MEMGOAL_CHECK, hung it (interval_ms=0 ends every interval at time 0),
-  // or wrapped to a huge unsigned value (cache_bytes=-5).
+  // MEMGOAL_CHECK or in common::Config's conversion check (the values that
+  // are not numbers at all), hung it (interval_ms=0 ends every interval at
+  // time 0), or wrapped to a huge unsigned value (cache_bytes=-5,
+  // fault_min_live=-1).
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"interval_ms=0\n", "interval_ms must be finite and > 0, got 0"},
       {"interval_ms=-5\n", "interval_ms must be finite and > 0, got -5"},
@@ -122,6 +124,21 @@ TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
       {"intervals=-1\n", "intervals must be in 0..2147483647, got -1"},
       {"net_latency_ms=nan\n", "net_latency_ms must be finite and >= 0"},
       {"nodes=2\nfault_mttp_ms=1000\n", "fault_mttp_ms > 0 needs nodes >= 3"},
+      {"nodes=abc\n", "nodes must be in 1..65535, got abc"},
+      {"nodes=\n", "nodes must be in 1..65535, got "},
+      {"cache_bytes=2M\n", "cache_bytes must be >= 0, got 2M"},
+      {"interval_ms=5x\n", "interval_ms must be finite and > 0, got 5x"},
+      {"net_loss=half\n", "net_loss must be in [0, 1], got half"},
+      {"seed=x\n", "seed must be an integer, got x"},
+      {"fault_seed=0x1\n", "fault_seed must be an integer, got 0x1"},
+      {"fault_min_live=x\n",
+       "fault_min_live must be in 0..4294967295, got x"},
+      {"fault_min_live=-1\n",
+       "fault_min_live must be in 0..4294967295, got -1"},
+      {"corrupt_salt=salt\n", "corrupt_salt must be an integer, got salt"},
+      {"chaos_seed=1.5\n", "chaos_seed must be an integer, got 1.5"},
+      {"audit=maybe\n",
+       "audit must be 1/0, true/false, yes/no or on/off, got maybe"},
   };
   for (const auto& [text, message] : cases) {
     std::string error;
@@ -129,13 +146,29 @@ TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
         << text;
     EXPECT_NE(error.find(message), std::string::npos) << text << error;
   }
-  // The edges of each range load.
+  // A goal class's goal that is not a number says so, rather than that the
+  // goal is missing.
   std::string error;
+  EXPECT_FALSE(Load("class1_goal_ms=fast\n", &error).has_value());
+  EXPECT_NE(error.find("class1_goal_ms must be a number, got fast"),
+            std::string::npos)
+      << error;
+  // The edges of each range load.
   EXPECT_TRUE(Load("class1_goal_ms=50\ncache_bytes=0\ncrash_node=2\n"
                    "net_loss=1\nclass1_skew=0\nintervals=0\n",
                    &error)
                   .has_value())
       << error;
+  // Seeds take any integer; booleans take every spelling Config accepts.
+  const std::optional<Scenario> spelled =
+      Load("class1_goal_ms=50\nseed=-3\nfault_seed=+7\nfault_min_live=0\n"
+           "audit=yes\n",
+           &error);
+  ASSERT_TRUE(spelled.has_value()) << error;
+  EXPECT_EQ(spelled->system.seed, static_cast<uint64_t>(-3));
+  EXPECT_EQ(spelled->system.faults.seed, 7u);
+  EXPECT_EQ(spelled->system.faults.min_live_nodes, 0u);
+  EXPECT_TRUE(spelled->audit);
 }
 
 TEST(ScenarioTest, CorruptNearMissGetsSuggestion) {
