@@ -204,7 +204,7 @@ int RunGray(double degrade_at, double duration, const Setup& base,
             system->counters(kNoGoalClass).fetch_fallbacks;
         row.outlier_rejections =
             controller.measure_store(1).outlier_rejections();
-        row.lp_relaxed_retries = controller.stats().lp_relaxed_retries;
+        row.lp_relaxed_retries = controller.stats().lp.relaxed_retries;
         const sim::Resource& disk = system->node(victim).disk().resource();
         row.victim_disk_busy_p99 = disk.BusyQuantile(0.99);
         row.victim_disk_wait_p99 = disk.WaitQuantile(0.99);
@@ -668,7 +668,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
+  TrialRunner runner(reporter.threads());
   runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);

@@ -180,7 +180,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
+  TrialRunner runner(reporter.threads());
   runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed0));
   reporter.AddSetup("intervals", intervals);

@@ -227,6 +227,7 @@ double CalibrateMachineSeconds();
 ///   --bench-json=<dir>  directory for BENCH_<name>.json ("." by default;
 ///                       "", "0" or "off" disables the file)
 ///   --profile           enable the wall-clock phase profiler for the run
+///   --threads=<n>       trial-runner threads (0, the default, = all cores)
 ///
 /// The reporter owns the run's `obs::Profiler` and installs it on the
 /// constructing thread; pass `profiler()` to `TrialRunner::SetProfiler` so
@@ -238,6 +239,8 @@ class BenchReporter {
 
   obs::Profiler* profiler() { return &profiler_; }
   bool profiling() const { return profiler_.enabled(); }
+  /// The --threads flag (0 = all cores), for the run's TrialRunner.
+  int threads() const { return threads_; }
 
   /// Headline run parameters, echoed into the JSON "setup" object.
   void AddSetup(const std::string& key, const std::string& value);

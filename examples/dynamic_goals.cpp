@@ -39,6 +39,10 @@ int main(int argc, char** argv) {
   config.disk.rotation_ms = 6.0;
   config.disk.transfer_mb_per_s = 20.0;
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  if (!args.RejectUnknownFlags()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return 1;
+  }
 
   memgoal::core::ClusterSystem system(config);
 

@@ -65,6 +65,10 @@ int main(int argc, char** argv) {
   background.mean_interarrival_ms = 40.0;
   background.pages = {2000, 3000};
   system.AddClass(background);
+  if (!args.RejectUnknownFlags()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return 1;
+  }
 
   system.Start();
   system.RunIntervals(intervals);

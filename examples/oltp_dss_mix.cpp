@@ -110,6 +110,12 @@ int main(int argc, char** argv) {
   }
   const int intervals = static_cast<int>(args.GetInt("intervals", 40));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  // 0 (the default) derives the goal from the unmanaged run below.
+  const double goal_flag = args.GetDouble("goal_ms", 0.0);
+  if (!args.RejectUnknownFlags()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return 1;
+  }
 
   // First measure the unmanaged OLTP response time, then demand a goal 40%
   // below it — the managed run has to carve out a dedicated buffer to hold
@@ -117,7 +123,8 @@ int main(int argc, char** argv) {
   // satisfaction column is judged against the same bar (the inert
   // controller ignores goals, so the dynamics are identical).
   const RunResult baseline = Run(false, intervals, /*goal_ms=*/1e9, seed);
-  const double goal_ms = args.GetDouble("goal_ms", 0.6 * baseline.oltp_rt_ms);
+  const double goal_ms =
+      goal_flag > 0.0 ? goal_flag : 0.6 * baseline.oltp_rt_ms;
   const RunResult unmanaged = Run(false, intervals, goal_ms, seed);
   const RunResult managed = Run(true, intervals, goal_ms, seed);
 

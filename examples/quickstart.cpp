@@ -77,6 +77,12 @@ int main(int argc, char** argv) {
         std::make_unique<memgoal::baseline::NoPartitioningController>());
   }
 
+  const int intervals = static_cast<int>(args.GetInt("intervals", 30));
+  if (!args.RejectUnknownFlags()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return 1;
+  }
+
   std::printf(
       "interval  rt_goal_class  goal  tolerance  dedicated_KB  satisfied  "
       "rt_nogoal\n");
@@ -93,7 +99,7 @@ int main(int argc, char** argv) {
   });
 
   system.Start();
-  system.RunIntervals(static_cast<int>(args.GetInt("intervals", 30)));
+  system.RunIntervals(intervals);
 
   if (auto* goal_controller =
           dynamic_cast<memgoal::core::GoalOrientedController*>(

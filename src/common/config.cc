@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "common/check.h"
-
 namespace memgoal::common {
 
 namespace {
@@ -126,28 +124,30 @@ std::optional<bool> Config::TryGetBool(const std::string& key,
   return std::nullopt;
 }
 
+void Config::NoteBadValue(const std::string& key, const char* kind) {
+  if (bad_value_.empty()) {
+    bad_value_ = key + " must be " + kind + ", got " + values_.at(key);
+  }
+}
+
 int64_t Config::GetInt(const std::string& key, int64_t fallback) {
   const std::optional<int64_t> value = TryGetInt(key, fallback);
-  MEMGOAL_CHECK_MSG(value.has_value(),
-                    ("bad integer for key " + key + ": " + *Lookup(key))
-                        .c_str());
-  return *value;
+  if (!value.has_value()) NoteBadValue(key, "an integer");
+  return value.value_or(fallback);
 }
 
 double Config::GetDouble(const std::string& key, double fallback) {
   const std::optional<double> value = TryGetDouble(key, fallback);
-  MEMGOAL_CHECK_MSG(value.has_value(),
-                    ("bad double for key " + key + ": " + *Lookup(key))
-                        .c_str());
-  return *value;
+  if (!value.has_value()) NoteBadValue(key, "a number");
+  return value.value_or(fallback);
 }
 
 bool Config::GetBool(const std::string& key, bool fallback) {
   const std::optional<bool> value = TryGetBool(key, fallback);
-  MEMGOAL_CHECK_MSG(value.has_value(),
-                    ("bad boolean for key " + key + ": " + *Lookup(key))
-                        .c_str());
-  return *value;
+  if (!value.has_value()) {
+    NoteBadValue(key, "1/0, true/false, yes/no or on/off");
+  }
+  return value.value_or(fallback);
 }
 
 std::vector<std::string> Config::UnusedKeys() const {
@@ -199,6 +199,10 @@ std::string NearestSuggestion(const std::string& value,
 }
 
 bool Config::RejectUnknownFlags() {
+  if (!bad_value_.empty()) {
+    error_ = bad_value_;
+    return false;
+  }
   for (const std::string& key : dashed_) {
     if (used_.at(key)) continue;
     error_ = "unknown flag " + GnuSpelling(key);

@@ -34,13 +34,14 @@ class Config {
 
   /// Typed getters: return the stored value converted to the requested type,
   /// or `fallback` when the key is absent. A present key that fails to
-  /// convert is a configuration error and aborts.
+  /// convert also yields `fallback`, and the first such value is kept as
+  /// "<key> must be <kind>, got <value>" for RejectUnknownFlags to report.
   std::string GetString(const std::string& key, const std::string& fallback);
   int64_t GetInt(const std::string& key, int64_t fallback);
   double GetDouble(const std::string& key, double fallback);
   bool GetBool(const std::string& key, bool fallback);
 
-  /// The same conversions without the abort: `fallback` when the key is
+  /// The same conversions without the record: `fallback` when the key is
   /// absent, nullopt when it is present but does not convert. For readers
   /// that report a bad value themselves (core::LoadScenario).
   std::optional<int64_t> TryGetInt(const std::string& key, int64_t fallback);
@@ -51,18 +52,21 @@ class Config {
   /// about misspelled overrides.
   std::vector<std::string> UnusedKeys() const;
 
-  /// Strict check for command-line `--flag` spellings: call after every
-  /// getter has run. Any dashed argument whose key no getter ever asked
-  /// about is a typo, not a tunable — returns false and records an error
-  /// naming the flag, with a "did you mean --x" suggestion when a key some
-  /// getter *did* query is within edit distance 2. Scenario-file and bare
-  /// `key=value` tokens keep the soft UnusedKeys() warning instead.
+  /// Strict check of the command line: call after every getter has run.
+  /// Fails first on a value a typed getter could not convert, then on any
+  /// dashed argument whose key no getter ever asked about — a typo, not a
+  /// tunable — naming the flag, with a "did you mean --x" suggestion when a
+  /// key some getter *did* query is within edit distance 2. Returns false
+  /// and records the error. Scenario-file and bare `key=value` tokens keep
+  /// the soft UnusedKeys() warning for unknown keys instead.
   bool RejectUnknownFlags();
 
   const std::string& error() const { return error_; }
 
  private:
   std::optional<std::string> Lookup(const std::string& key);
+  /// Records `key`'s value as the first one that is not a `kind`.
+  void NoteBadValue(const std::string& key, const char* kind);
 
   std::map<std::string, std::string> values_;
   std::map<std::string, bool> used_;
@@ -71,6 +75,8 @@ class Config {
   std::set<std::string> known_;
   /// Keys that arrived as `--flag[=value]` on the command line.
   std::set<std::string> dashed_;
+  /// First value a typed getter could not convert (empty when none).
+  std::string bad_value_;
   std::string error_;
 };
 

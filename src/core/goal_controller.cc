@@ -265,24 +265,6 @@ double GoalOrientedController::ToleranceFor(ClassId klass) const {
   return it->second.tolerance.Tolerance(goal);
 }
 
-LpOutcomeCounters GoalOrientedController::LpOutcomes() const {
-  LpOutcomeCounters counters;
-  counters.optimal = stats_.lp_status_optimal;
-  counters.infeasible = stats_.lp_status_infeasible;
-  counters.unbounded = stats_.lp_status_unbounded;
-  counters.iteration_limit = stats_.lp_status_iteration_limit;
-  counters.relaxed_retries = stats_.lp_relaxed_retries;
-  return counters;
-}
-
-void GoalOrientedController::AccumulateLpStats(const LpOutcomeStats& lp) {
-  stats_.lp_status_optimal += lp.optimal;
-  stats_.lp_status_infeasible += lp.infeasible;
-  stats_.lp_status_unbounded += lp.unbounded;
-  stats_.lp_status_iteration_limit += lp.iteration_limit;
-  stats_.lp_relaxed_retries += lp.relaxed_retries;
-}
-
 void GoalOrientedController::PublishMetrics(obs::Registry* registry) {
   registry->GetCounter("ctrl.reports_sent")->Set(stats_.reports_sent);
   registry->GetCounter("ctrl.checks")->Set(stats_.checks);
@@ -304,15 +286,13 @@ void GoalOrientedController::PublishMetrics(obs::Registry* registry) {
       ->Set(stats_.nonfinite_observations_rejected);
   registry->GetCounter("ctrl.degenerate_fit_skips")
       ->Set(stats_.degenerate_fit_skips);
-  registry->GetCounter("ctrl.lp_status.optimal")->Set(stats_.lp_status_optimal);
-  registry->GetCounter("ctrl.lp_status.infeasible")
-      ->Set(stats_.lp_status_infeasible);
-  registry->GetCounter("ctrl.lp_status.unbounded")
-      ->Set(stats_.lp_status_unbounded);
+  registry->GetCounter("ctrl.lp_status.optimal")->Set(stats_.lp.optimal);
+  registry->GetCounter("ctrl.lp_status.infeasible")->Set(stats_.lp.infeasible);
+  registry->GetCounter("ctrl.lp_status.unbounded")->Set(stats_.lp.unbounded);
   registry->GetCounter("ctrl.lp_status.iteration_limit")
-      ->Set(stats_.lp_status_iteration_limit);
+      ->Set(stats_.lp.iteration_limit);
   registry->GetCounter("ctrl.lp_relaxed_retries")
-      ->Set(stats_.lp_relaxed_retries);
+      ->Set(stats_.lp.relaxed_retries);
   registry->GetCounter("ctrl.lp_warm_starts")->Set(stats_.lp_warm_starts);
   registry->GetCounter("ctrl.lp_cold_starts")->Set(stats_.lp_cold_starts);
   registry->GetCounter("ctrl.partition_changes_observed")
@@ -517,44 +497,29 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
   // its successor starts from fresh state at the next interval.
   if (!system_->NodeUp(coordinator->home)) co_return;
 
-  // Decision log: one record per check, lease-skipped ones included. The
-  // RAII appender fires on every co_return path (coroutine locals are
-  // destroyed at final suspend), so early exits — no lease, no data,
-  // within tolerance, degenerate fit — are logged too; a null sink makes
-  // the whole capture a no-op.
-  obs::DecisionLog* decision_log = system_->decision_log();
-  obs::DecisionRecord record;
-  struct RecordAppender {
-    obs::DecisionLog* log;
-    obs::DecisionRecord* record;
-    ~RecordAppender() {
-      if (log != nullptr) log->Append(std::move(*record));
-    }
-  } appender{decision_log, &record};
-  if (decision_log != nullptr) {
-    record.interval = system_->intervals_completed() - 1;
-    record.sim_time_ms = system_->simulator().Now();
-    record.klass = static_cast<int>(coordinator->klass);
-    record.home = static_cast<int>(coordinator->home);
-    record.epoch = coordinator->epoch;
-    record.lease_held = coordinator->has_lease;
-  }
-
-  // Attainment tracker: one CheckOutcome per check, reported on every
-  // co_return path by the same RAII pattern as the decision record. A null
-  // (or disabled) tracker makes the whole capture a no-op.
+  // One record per check, lease-skipped ones included, filled as the check
+  // goes. The reporter hands it to the sinks on every co_return path
+  // (coroutine locals are destroyed at final suspend), so early exits — no
+  // lease, no data, within tolerance, degenerate fit — are reported too:
+  // first to the attainment tracker, then to the decision log.
   obs::AttainmentTracker* attainment = system_->attainment();
   if (attainment != nullptr && !attainment->enabled()) attainment = nullptr;
-  obs::AttainmentTracker::CheckOutcome check;
-  check.klass = coordinator->klass;
-  check.lease_held = coordinator->has_lease;
-  struct CheckReporter {
+  obs::DecisionRecord record;
+  struct RecordReporter {
     obs::AttainmentTracker* tracker;
-    obs::AttainmentTracker::CheckOutcome* outcome;
-    ~CheckReporter() {
-      if (tracker != nullptr) tracker->RecordCheckOutcome(*outcome);
+    obs::DecisionLog* log;
+    obs::DecisionRecord* record;
+    ~RecordReporter() {
+      if (tracker != nullptr) tracker->RecordCheck(*record);
+      if (log != nullptr) log->Append(std::move(*record));
     }
-  } check_reporter{attainment, &check};
+  } reporter{attainment, system_->decision_log(), &record};
+  record.interval = system_->intervals_completed() - 1;
+  record.sim_time_ms = system_->simulator().Now();
+  record.klass = static_cast<int>(coordinator->klass);
+  record.home = static_cast<int>(coordinator->home);
+  record.epoch = coordinator->epoch;
+  record.lease_held = coordinator->has_lease;
 
   if (!coordinator->has_lease) {
     // Minority-side (or leaseless) static fallback: the last applied grants
@@ -572,8 +537,6 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
     co_return;
   }
   const double goal = system_->spec(coordinator->klass).goal_rt_ms.value();
-  check.observed_rt_ms = *rt_k;
-  check.has_observed_rt = true;
 
   // Phase (b): fold the current measurement into the measure-point store.
   coordinator->tolerance.Observe(*rt_k);
@@ -592,37 +555,30 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
     }
     if (std::isfinite(*rt_0) && AllFinite(allocation) &&
         AllFinite(rt_per_node)) {
-      const MeasureStore::ObserveOutcome outcome =
+      record.measure_outcome = MeasureStore::OutcomeName(
           coordinator->store.ObserveDetailed(allocation, *rt_k, *rt_0,
-                                             rt_per_node);
-      if (decision_log != nullptr) {
-        record.measure_outcome = MeasureStore::OutcomeName(outcome);
-      }
+                                             rt_per_node));
     } else {
       ++stats_.nonfinite_observations_rejected;
     }
   }
-  if (decision_log != nullptr) {
-    record.observed_rt_k = *rt_k;
-    record.has_observed_rt_0 = rt_0.has_value();
-    record.observed_rt_0 = rt_0.value_or(0.0);
-    record.goal_rt = goal;
-    record.measured_allocation = allocation;
-    record.condition_estimate = coordinator->store.ConditionEstimate();
-    record.store_ready = coordinator->store.ready();
-    record.store_size = static_cast<int>(coordinator->store.size());
-  }
+  record.observed_rt_k = *rt_k;
+  record.has_observed_rt_0 = rt_0.has_value();
+  record.observed_rt_0 = rt_0.value_or(0.0);
+  record.goal_rt = goal;
+  record.measured_allocation = allocation;
+  record.condition_estimate = coordinator->store.ConditionEstimate();
+  record.store_ready = coordinator->store.ready();
+  record.store_size = static_cast<int>(coordinator->store.size());
 
   // Phase (c): check against the goal with the tolerance band. Being too
   // slow always triggers re-partitioning; being faster than the goal only
   // matters when the class actually holds dedicated buffer that the no-goal
   // class could reclaim.
   const double delta = coordinator->tolerance.Tolerance(goal);
-  if (decision_log != nullptr) record.tolerance_delta = delta;
+  record.tolerance_delta = delta;
   const bool too_slow = *rt_k > goal + delta;
   const bool too_fast = *rt_k < goal - delta;
-  check.too_slow = too_slow;
-  check.too_fast = too_fast;
   if (!too_slow && !too_fast) co_return;
   uint64_t current_total = 0;
   for (const NodeView& view : coordinator->views) {
@@ -632,8 +588,8 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
   ++stats_.violations;
   if (too_slow && attainment != nullptr) {
     // Goal miss: join the last interval's budget attribution with the
-    // cluster's active fault state into a root-cause card, mirrored into
-    // the decision record so it replays from the log.
+    // cluster's active fault state into a root-cause card, written into the
+    // record so it replays from the log.
     const sim::FaultInjector& injector = system_->fault_injector();
     obs::AttainmentTracker::FaultState faults;
     faults.nodes_down = config.num_nodes - injector.nodes_up();
@@ -644,22 +600,7 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
     faults.partition_epoch = injector.partition_epoch();
     faults.corruptions_since_last_check = attainment->NoteCorruptions(
         coordinator->klass, injector.stats().corruptions);
-    const obs::AttainmentTracker::MissCard& card = attainment->RecordMiss(
-        coordinator->klass, system_->intervals_completed() - 1,
-        system_->simulator().Now(), *rt_k, goal, delta, faults);
-    if (decision_log != nullptr) {
-      record.miss_card = true;
-      record.miss_dominant_phase = obs::BudgetPhaseName(card.dominant_phase);
-      record.miss_dominant_ms = card.dominant_ms;
-      record.miss_phase_ms.assign(card.phase_mean_ms,
-                                  card.phase_mean_ms + obs::kNumBudgetPhases);
-      record.miss_baseline_rt = card.baseline_rt_ms;
-      record.miss_deviation_ms = card.deviation_ms;
-      record.miss_nodes_down = card.nodes_down;
-      record.miss_nodes_degraded = card.nodes_degraded;
-      record.miss_partitioned = card.partitioned;
-      record.miss_corruptions = card.corruptions;
-    }
+    attainment->RecordMiss(&record, faults);
   }
   coordinator->consecutive_slow = too_slow ? coordinator->consecutive_slow + 1
                                            : 0;
@@ -679,8 +620,7 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
     for (uint32_t i = 0; i < config.num_nodes; ++i) {
       full[i] = static_cast<double>(coordinator->views[i].bound_bytes);
     }
-    co_await SendAllocations(coordinator, std::move(full),
-                             decision_log != nullptr ? &record : nullptr);
+    co_await SendAllocations(coordinator, std::move(full), record);
     co_return;
   }
 
@@ -723,17 +663,14 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
               ? static_cast<double>(coordinator->views[i].bound_bytes)
               : 0.0;
     }
-    if (decision_log != nullptr) {
-      record.has_planes = true;
-      record.grad_k = planes->grad_k;
-      record.intercept_k = planes->intercept_k;
-      record.grad_0 = planes->grad_0;
-      record.intercept_0 = planes->intercept_0;
-      record.upper_bounds = input.upper_bounds;
-    }
+    record.has_planes = true;
+    record.grad_k = planes->grad_k;
+    record.intercept_k = planes->intercept_k;
+    record.grad_0 = planes->grad_0;
+    record.intercept_0 = planes->intercept_0;
+    record.upper_bounds = input.upper_bounds;
 
     OptimizerMode mode;
-    int lp_relaxed_rung = -1;
     std::optional<std::vector<MeasureStore::NodePlane>> node_planes;
     if (config.objective == PartitioningObjective::kMinimizeNodeVariance) {
       node_planes = coordinator->store.FitNodePlanes();
@@ -750,27 +687,18 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
           SolveVariancePartitioning(variance_input);
       target = std::move(output.allocation);
       mode = output.mode;
-      AccumulateLpStats(output.lp_stats);
+      record.relaxed_goal_rt = output.relaxed_goal_rt;
+      record.lp = output.lp_stats;
       ++stats_.lp_cold_starts;
-      if (decision_log != nullptr) {
-        record.lp_run = true;
-        record.lp_mode = OptimizerModeName(mode);
-        record.relaxed_goal_rt = output.relaxed_goal_rt;
-        record.lp_optimal = output.lp_stats.optimal;
-        record.lp_infeasible = output.lp_stats.infeasible;
-        record.lp_unbounded = output.lp_stats.unbounded;
-        record.lp_iteration_limit = output.lp_stats.iteration_limit;
-        record.lp_relaxed_retries = output.lp_stats.relaxed_retries;
-        record.lp_allocation = target;
-      }
     } else {
       input.planes = std::move(*planes);
       // Warm-start from the previous interval's basis when one survived
       // (same topology, same epoch). The solver validates it against the
       // re-posed program and silently cold-starts on a mismatch.
-      const bool warm = !coordinator->lp_warm_basis.empty();
-      if (warm) {
+      record.lp_warm = !coordinator->lp_warm_basis.empty();
+      if (record.lp_warm) {
         input.warm = &coordinator->lp_warm_basis;
+        record.lp_warm_basis = coordinator->lp_warm_basis.ToText();
         ++stats_.lp_warm_starts;
       } else {
         ++stats_.lp_cold_starts;
@@ -778,31 +706,17 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
       OptimizerOutput output = SolvePartitioning(input);
       target = std::move(output.allocation);
       mode = output.mode;
-      lp_relaxed_rung = output.relaxed_rung;
-      AccumulateLpStats(output.lp_stats);
-      if (decision_log != nullptr) {
-        record.lp_run = true;
-        record.lp_mode = OptimizerModeName(mode);
-        record.relaxed_rung = output.relaxed_rung;
-        record.relaxed_goal_rt = output.relaxed_goal_rt;
-        record.lp_optimal = output.lp_stats.optimal;
-        record.lp_infeasible = output.lp_stats.infeasible;
-        record.lp_unbounded = output.lp_stats.unbounded;
-        record.lp_iteration_limit = output.lp_stats.iteration_limit;
-        record.lp_relaxed_retries = output.lp_stats.relaxed_retries;
-        record.lp_warm = warm;
-        record.lp_warm_basis = coordinator->lp_warm_basis.ToText();
-        record.lp_allocation = target;
-      }
+      record.relaxed_rung = output.relaxed_rung;
+      record.relaxed_goal_rt = output.relaxed_goal_rt;
+      record.lp = output.lp_stats;
       coordinator->lp_warm_basis = std::move(output.basis);
     }
+    // The LP stage common to both objectives.
+    record.lp_run = true;
+    record.lp_mode = OptimizerModeName(mode);
+    record.lp_allocation = target;
+    stats_.lp += record.lp;
     ++stats_.lp_optimizations;
-    check.lp_run = true;
-    check.relaxed_rung = lp_relaxed_rung;
-    if (attainment != nullptr && too_slow) {
-      attainment->AnnotateLastMiss(coordinator->klass, /*lp_run=*/true,
-                                   OptimizerModeName(mode), lp_relaxed_rung);
-    }
     if (mode == OptimizerMode::kBestEffort) {
       ++stats_.best_effort_allocations;
     }
@@ -901,13 +815,11 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
   }
 
   // Phase (e): ship the allocation to the agents.
-  co_await SendAllocations(coordinator, std::move(target),
-                           decision_log != nullptr ? &record : nullptr);
+  co_await SendAllocations(coordinator, std::move(target), record);
 }
 
 sim::Task<void> GoalOrientedController::SendAllocations(
-    Coordinator* coordinator, la::Vector target,
-    obs::DecisionRecord* record) {
+    Coordinator* coordinator, la::Vector target, obs::DecisionRecord& record) {
   const SystemConfig& config = system_->config();
   const uint64_t page = config.page_bytes;
   // Captured at entry: messages already in flight keep coming from the
@@ -915,10 +827,7 @@ sim::Task<void> GoalOrientedController::SendAllocations(
   // and every grant carries the epoch of the lease that computed it.
   const NodeId origin = coordinator->home;
   const uint64_t epoch = coordinator->epoch;
-  if (record != nullptr) {
-    record->shipped_allocation.assign(config.num_nodes, 0.0);
-    record->granted_allocation.assign(config.num_nodes, 0.0);
-  }
+  record.shipped_allocation.assign(config.num_nodes, 0.0);
   for (uint32_t i = 0; i < config.num_nodes; ++i) {
     // No command is sent to a dead node; its budget restarts from zero
     // after recovery anyway. Unreachable nodes are NOT skipped: the
@@ -929,9 +838,7 @@ sim::Task<void> GoalOrientedController::SendAllocations(
     // pool's frame-granular capacity.
     uint64_t bytes = static_cast<uint64_t>(std::max(0.0, target[i]));
     bytes = bytes / page * page;
-    if (record != nullptr) {
-      record->shipped_allocation[i] = static_cast<double>(bytes);
-    }
+    record.shipped_allocation[i] = static_cast<double>(bytes);
     if (bytes == coordinator->views[i].granted_bytes) continue;
     ++stats_.allocation_commands;
     const bool command_delivered = co_await system_->network().Transfer(
@@ -957,11 +864,10 @@ sim::Task<void> GoalOrientedController::SendAllocations(
         system_->AvailableFor(coordinator->klass, i);
     last_sent_[{coordinator->klass, i}].granted_bytes = granted;
   }
-  if (record != nullptr) {
-    for (uint32_t i = 0; i < config.num_nodes; ++i) {
-      record->granted_allocation[i] =
-          static_cast<double>(coordinator->views[i].granted_bytes);
-    }
+  record.granted_allocation.resize(config.num_nodes);
+  for (uint32_t i = 0; i < config.num_nodes; ++i) {
+    record.granted_allocation[i] =
+        static_cast<double>(coordinator->views[i].granted_bytes);
   }
 }
 

@@ -57,7 +57,7 @@ class GoalOrientedController final : public Controller {
   void OnPartitionChange() override;
   std::optional<std::string> AuditInvariants() const override;
   double ToleranceFor(ClassId klass) const override;
-  LpOutcomeCounters LpOutcomes() const override;
+  obs::LpOutcomeStats LpOutcomes() const override { return stats_.lp; }
   void PublishMetrics(obs::Registry* registry) override;
   const char* name() const override { return "goal-oriented"; }
 
@@ -87,13 +87,7 @@ class GoalOrientedController final : public Controller {
     /// Per-SimplexStatus outcomes across every simplex solve of the
     /// fallback chain (one optimization may count several solves), plus
     /// relaxed-goal retries taken after an infeasible inequality LP.
-    uint64_t lp_status_optimal = 0;
-    uint64_t lp_status_infeasible = 0;
-    uint64_t lp_status_unbounded = 0;
-    /// Solves cut off by the simplex iteration safety bound (distinct from
-    /// infeasible — the LP was never classified).
-    uint64_t lp_status_iteration_limit = 0;
-    uint64_t lp_relaxed_retries = 0;
+    obs::LpOutcomeStats lp;
     /// LP runs that offered the previous interval's basis as a warm start
     /// vs. runs posed cold (no basis retained, or it was invalidated by a
     /// topology/epoch change). The solver itself may still silently reject
@@ -181,21 +175,21 @@ class GoalOrientedController final : public Controller {
   bool SignificantChange(const LastSent& last, double rt, double rate,
                          uint64_t granted, uint64_t bound) const;
 
-  /// Folds one optimization's simplex outcomes into the protocol stats.
-  void AccumulateLpStats(const LpOutcomeStats& lp);
-
   // Message-modelled deliveries (spawned).
   sim::Task<void> DeliverGoalReport(Coordinator* coordinator, NodeId from,
                                     std::optional<double> rt, double rate,
                                     uint64_t granted, uint64_t bound);
   sim::Task<void> DeliverNoGoalReport(Coordinator* coordinator, NodeId from,
                                       std::optional<double> rt, double rate);
+  /// Phases (b)-(e) for one goal class. Fills one obs::DecisionRecord as
+  /// it goes and hands it, on every exit path, to the attainment tracker
+  /// and then to the decision log, whichever of them is attached.
   sim::Task<void> CoordinatorCheck(Coordinator* coordinator);
-  /// Ships `target` to the live agents. When `record` is non-null the
-  /// shipped (post-rounding) and granted (post-clamp, acked) per-node
-  /// allocations are captured into it for the decision log.
+  /// Ships `target` to the live agents and captures the shipped
+  /// (post-rounding) and granted (post-clamp, acked) per-node allocations
+  /// into `record`.
   sim::Task<void> SendAllocations(Coordinator* coordinator, la::Vector target,
-                                  obs::DecisionRecord* record = nullptr);
+                                  obs::DecisionRecord& record);
 
   std::optional<double> WeightedGoalRt(const Coordinator& coordinator) const;
   std::optional<double> WeightedNoGoalRt(const Coordinator& coordinator) const;

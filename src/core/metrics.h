@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "obs/decision_log.h"
 #include "sim/simulator.h"
 #include "storage/types.h"
 
@@ -32,18 +33,6 @@ struct ClassIntervalMetrics {
   uint64_t ops_failed = 0;
 };
 
-/// Cumulative per-SimplexStatus outcome counters of the partitioning LPs
-/// (mirrors core::LpOutcomeStats without pulling the optimizer headers into
-/// every metrics consumer).
-struct LpOutcomeCounters {
-  uint64_t optimal = 0;
-  uint64_t infeasible = 0;
-  uint64_t unbounded = 0;
-  /// Solves cut off by the simplex iteration safety bound.
-  uint64_t iteration_limit = 0;
-  uint64_t relaxed_retries = 0;
-};
-
 /// One observation interval across all classes.
 struct IntervalRecord {
   int index = 0;
@@ -51,7 +40,7 @@ struct IntervalRecord {
   /// Nodes alive at the interval boundary (availability column).
   uint32_t nodes_up = 0;
   /// LP outcome counters, cumulative up to this interval boundary.
-  LpOutcomeCounters lp;
+  obs::LpOutcomeStats lp;
   std::vector<ClassIntervalMetrics> classes;
 
   /// Metrics row for `klass`; aborts if absent.

@@ -8,6 +8,7 @@
 #include "core/measure.h"
 #include "la/matrix.h"
 #include "la/simplex.h"
+#include "obs/decision_log.h"
 
 namespace memgoal::core {
 
@@ -46,29 +47,6 @@ enum class OptimizerMode {
   kBestEffort,
 };
 
-/// Per-SimplexStatus outcome counts accumulated across the fallback chain
-/// of one solve (an equality miss plus an inequality hit counts both).
-struct LpOutcomeStats {
-  uint64_t optimal = 0;
-  uint64_t infeasible = 0;
-  uint64_t unbounded = 0;
-  /// Solves cut off by the simplex iteration safety bound. Distinct from
-  /// infeasible: the LP was never classified, and the retry ladder re-poses
-  /// it rather than trusting a half-finished basis.
-  uint64_t iteration_limit = 0;
-  /// Relaxed-goal retries attempted after the inequality LP was infeasible.
-  uint64_t relaxed_retries = 0;
-
-  LpOutcomeStats& operator+=(const LpOutcomeStats& other) {
-    optimal += other.optimal;
-    infeasible += other.infeasible;
-    unbounded += other.unbounded;
-    iteration_limit += other.iteration_limit;
-    relaxed_retries += other.relaxed_retries;
-    return *this;
-  }
-};
-
 /// Stable label for logs and the decision records.
 inline const char* OptimizerModeName(OptimizerMode mode) {
   switch (mode) {
@@ -90,7 +68,8 @@ inline const char* OptimizerModeName(OptimizerMode mode) {
 inline constexpr double kGoalRelaxationLadder[] = {0.10, 0.25, 0.50};
 
 /// Adds one simplex solve's terminal status to the counters.
-inline void CountLpOutcome(la::SimplexStatus status, LpOutcomeStats* stats) {
+inline void CountLpOutcome(la::SimplexStatus status,
+                           obs::LpOutcomeStats* stats) {
   switch (status) {
     case la::SimplexStatus::kOptimal:
       ++stats->optimal;
@@ -127,7 +106,7 @@ struct GoalLadderResult {
 /// outcome and relaxed retry is counted into `stats`.
 template <typename Solve>
 GoalLadderResult WalkGoalLadder(double goal_rt, Solve&& solve,
-                                LpOutcomeStats* stats) {
+                                obs::LpOutcomeStats* stats) {
   GoalLadderResult result;
   for (const bool equality : {true, false}) {
     result.lp = solve(equality, goal_rt);
@@ -166,7 +145,7 @@ struct OptimizerOutput {
   /// LP (mode == kGoalRelaxed only); -1 otherwise.
   int relaxed_rung = -1;
   /// Simplex outcome counts of this solve's fallback chain.
-  LpOutcomeStats lp_stats;
+  obs::LpOutcomeStats lp_stats;
   /// Final basis of the solve that produced `allocation` (empty for
   /// best effort). Feed back as `OptimizerInput::warm` next interval.
   la::SimplexBasis basis;

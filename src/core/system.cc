@@ -533,13 +533,10 @@ ClusterSystem::ClusterSystem(const SystemConfig& config)
   for (NodeId i = 0; i < config.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(this, i));
   }
-  // Health scores start at the cost model's healthy remote-buffer fetch
-  // time and are mirrored into the directory's replica ranking, so the
+  // Health scores live in the directory's replica ranking as node costs
+  // and start at the cost model's healthy remote-buffer fetch time, so the
   // all-healthy ranking is exactly the historic home-first scan order.
-  health_ewma_.assign(config.num_nodes, cost_model_.remote_buffer_ms);
-  for (NodeId i = 0; i < config.num_nodes; ++i) {
-    directory_.SetNodeCost(i, health_ewma_[i]);
-  }
+  for (NodeId i = 0; i < config.num_nodes; ++i) ResetHealth(i);
   fault_injector_.SetCallbacks(
       [this](uint32_t node) { HandleNodeCrash(node); },
       [this](uint32_t node) { HandleNodeRecover(node); });
@@ -675,15 +672,10 @@ void ClusterSystem::HandlePartitionChange() {
   const bool partitioned = fault_injector_.Partitioned();
   network_.SetPartitionActive(partitioned);
   directory_.SetPartitionActive(partitioned);
-  if (partitioned && !partitioned_now_) {
-    ++partition_begins_;
-  } else if (!partitioned && partitioned_now_) {
-    ++partition_heals_;
-    if (config_.injected_bug != InjectedBug::kSkipHealReconcile) {
-      ReconcileAfterHeal();
-    }
+  if (!partitioned &&
+      config_.injected_bug != InjectedBug::kSkipHealReconcile) {
+    ReconcileAfterHeal();
   }
-  partitioned_now_ = partitioned;
   controller_->OnPartitionChange();
 }
 
@@ -718,9 +710,9 @@ void ClusterSystem::RecordFetchLatency(NodeId node, double latency_ms) {
   // EWMA smoothing of the health score used for replica ranking and
   // hedging (higher alpha = faster reaction).
   constexpr double kHealthEwmaAlpha = 0.2;
-  health_ewma_[node] = (1.0 - kHealthEwmaAlpha) * health_ewma_[node] +
-                       kHealthEwmaAlpha * latency_ms;
-  directory_.SetNodeCost(node, health_ewma_[node]);
+  directory_.SetNodeCost(node,
+                         (1.0 - kHealthEwmaAlpha) * directory_.NodeCost(node) +
+                             kHealthEwmaAlpha * latency_ms);
 }
 
 void ClusterSystem::RecordFetchTimeout(NodeId node, double waited_ms) {
@@ -728,7 +720,8 @@ void ClusterSystem::RecordFetchTimeout(NodeId node, double waited_ms) {
   // `waited_ms` — so feed a pessimistic multiple of the larger of the wait
   // and the current score. Repeated timeouts therefore escalate the score
   // geometrically instead of plateauing at the deadline.
-  RecordFetchLatency(node, 2.0 * std::max(waited_ms, health_ewma_[node]));
+  RecordFetchLatency(node,
+                     2.0 * std::max(waited_ms, directory_.NodeCost(node)));
 }
 
 void ClusterSystem::DecayHealth(NodeId node) {
@@ -736,14 +729,13 @@ void ClusterSystem::DecayHealth(NodeId node) {
   // per restore/recover event (forgiveness after an episode).
   constexpr double kHealthRecoveryDecay = 0.25;
   const double baseline = cost_model_.remote_buffer_ms;
-  health_ewma_[node] +=
-      kHealthRecoveryDecay * (baseline - health_ewma_[node]);
-  directory_.SetNodeCost(node, health_ewma_[node]);
+  const double score = directory_.NodeCost(node);
+  directory_.SetNodeCost(node,
+                         score + kHealthRecoveryDecay * (baseline - score));
 }
 
 void ClusterSystem::ResetHealth(NodeId node) {
-  health_ewma_[node] = cost_model_.remote_buffer_ms;
-  directory_.SetNodeCost(node, health_ewma_[node]);
+  directory_.SetNodeCost(node, cost_model_.remote_buffer_ms);
 }
 
 const workload::ClassSpec& ClusterSystem::spec(ClassId klass) const {
@@ -1010,10 +1002,6 @@ sim::Task<void> ClusterSystem::IntervalLoop() {
         obs::AttainmentTracker::ClassSample sample;
         sample.klass = m.klass;
         sample.has_goal = spec(m.klass).goal_rt_ms.has_value();
-        sample.goal_rt_ms = m.goal_rt_ms;
-        sample.tolerance_ms = m.tolerance_ms;
-        sample.observed_rt_ms = m.observed_rt_ms;
-        sample.has_observed_rt = WeightedRt(m.klass).has_value();
         sample.satisfied = m.satisfied;
         sample.ops_completed = m.ops_completed;
         sample.dedicated_bytes = m.dedicated_bytes;
@@ -1090,8 +1078,10 @@ void ClusterSystem::PublishRegistrySnapshot(int interval_index) {
       ->Set(static_cast<double>(fault_injector_.nodes_up()));
   registry_.GetGauge("cluster.partitioned")
       ->Set(fault_injector_.Partitioned() ? 1.0 : 0.0);
-  registry_.GetCounter("cluster.partition_begins")->Set(partition_begins_);
-  registry_.GetCounter("cluster.partition_heals")->Set(partition_heals_);
+  registry_.GetCounter("cluster.partition_begins")
+      ->Set(fault_injector_.stats().partitions);
+  registry_.GetCounter("cluster.partition_heals")
+      ->Set(fault_injector_.stats().partition_heals);
   registry_.GetCounter("cluster.stale_grants_rejected")
       ->Set(grants_rejected_stale_epoch_);
   registry_.GetCounter("cluster.reconcile_hints_sent")

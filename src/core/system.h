@@ -223,10 +223,10 @@ class Controller {
   virtual void OnNodeRecover(NodeId /*node*/) {}
 
   /// Called synchronously after every reachability change of the
-  /// interconnect (partition begins, reshapes or heals; a link is cut or
-  /// restored). Partition-tolerant controllers re-evaluate quorum leases
-  /// here; the default ignores partitions entirely — which is safe only
-  /// because the network already drops its cross-partition messages.
+  /// interconnect (partition begins, reshapes or heals). Partition-tolerant
+  /// controllers re-evaluate quorum leases here; the default ignores
+  /// partitions entirely — which is safe only because the network already
+  /// drops its cross-partition messages.
   virtual void OnPartitionChange() {}
 
   /// Controller self-audit for the invariant auditor: returns a description
@@ -243,7 +243,7 @@ class Controller {
   /// Cumulative per-SimplexStatus outcome counters of the controller's
   /// partitioning LPs (interval CSV columns). Default: all zero for
   /// controllers that never solve an LP.
-  virtual LpOutcomeCounters LpOutcomes() const { return {}; }
+  virtual obs::LpOutcomeStats LpOutcomes() const { return {}; }
 
   /// Mirrors the controller's internal counters into the unified metrics
   /// registry; called once per observation interval just before the
@@ -566,11 +566,12 @@ class ClusterSystem {
   void CountFetchFallback(ClassId klass);
 
   // -- Node health (gray-failure awareness) ---------------------------------
+  //
+  // A node's health score is the EWMA of observed fetch latency against it
+  // (ms), kept as its cost in the directory's replica ranking
+  // (PageDirectory::NodeCost) and seeded at the cost model's healthy
+  // remote-buffer time.
 
-  /// EWMA of observed fetch latency against `node` (ms). Seeded at the
-  /// cost model's healthy remote-buffer time; also mirrored into the
-  /// directory's replica ranking as the node's cost.
-  double HealthScore(NodeId node) const { return health_ewma_[node]; }
   /// Feeds a completed fetch's observed latency into the score.
   void RecordFetchLatency(NodeId node, double latency_ms);
   /// Feeds a timed-out fetch: the true latency is censored at `waited_ms`,
@@ -594,10 +595,8 @@ class ClusterSystem {
   void EnableAuditor(sim::InvariantAuditor* auditor);
   sim::InvariantAuditor* auditor() { return auditor_; }
 
-  /// Partition lifecycle counters (whole -> cut transitions and back) and
-  /// heal-time reconciliation volume, for the registry and tests.
-  uint64_t partition_begins() const { return partition_begins_; }
-  uint64_t partition_heals() const { return partition_heals_; }
+  /// Heal-time reconciliation volume, for the registry and tests. (The
+  /// partition lifecycle counts are the fault injector's stats().)
   uint64_t reconcile_hints_sent() const { return reconcile_hints_sent_; }
 
   // -- Integrity (silent-data-corruption tolerance) --------------------------
@@ -638,8 +637,9 @@ class ClusterSystem {
   /// Episode lifted: service times back to nominal; health starts healing.
   void HandleNodeRestore(NodeId node);
   /// Reachability-change instant: flip the network/directory partition
-  /// flags, run heal-time reconciliation when the cluster became whole,
-  /// then notify the controller (lease re-evaluation).
+  /// flags, run heal-time reconciliation when the cluster is whole again
+  /// (every change to a whole cluster is a heal), then notify the
+  /// controller (lease re-evaluation).
   void HandlePartitionChange();
   /// Anti-entropy after a heal: flush every node's unsynced hints and
   /// re-anchor all health EWMAs (pre-partition timeout penalties measured
@@ -688,15 +688,11 @@ class ClusterSystem {
   std::map<ClassId, AccessCounters> counters_;
   MetricsLog metrics_;
   int intervals_completed_ = 0;
-  std::vector<double> health_ewma_;  // [node] fetch-latency EWMA, ms
 
   // (klass, node) -> highest grant epoch the agent has seen (fence floor).
   std::map<std::pair<ClassId, NodeId>, uint64_t> grant_epochs_;
   uint64_t grants_rejected_stale_epoch_ = 0;
   uint64_t stale_grants_applied_ = 0;
-  bool partitioned_now_ = false;
-  uint64_t partition_begins_ = 0;
-  uint64_t partition_heals_ = 0;
   uint64_t reconcile_hints_sent_ = 0;
   sim::InvariantAuditor* auditor_ = nullptr;
 

@@ -36,7 +36,7 @@ struct VarianceOptimizerOutput {
   /// The relaxed goal actually used (mode == kGoalRelaxed only).
   double relaxed_goal_rt = 0.0;
   /// Simplex outcome counts of this solve's fallback chain.
-  LpOutcomeStats lp_stats;
+  obs::LpOutcomeStats lp_stats;
 };
 
 /// Poses one rung of the variance LP below over [x_0..x_{n-1},

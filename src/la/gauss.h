@@ -10,17 +10,9 @@ namespace memgoal::la {
 /// Relative pivot threshold below which a matrix is treated as singular.
 inline constexpr double kSingularTolerance = 1e-10;
 
-/// Solves A x = b by Gaussian elimination with partial pivoting.
-/// Returns std::nullopt if A is (numerically) singular.
-std::optional<Vector> SolveLinearSystem(Matrix a, Vector b);
-
 /// Computes A^{-1} by Gauss-Jordan elimination with partial pivoting.
 /// Returns std::nullopt if A is (numerically) singular.
 std::optional<Matrix> Invert(const Matrix& a);
-
-/// Numerical rank via row echelon reduction with the given relative
-/// tolerance (defaults to kSingularTolerance).
-size_t Rank(Matrix a, double tolerance = kSingularTolerance);
 
 }  // namespace memgoal::la
 

@@ -36,28 +36,6 @@ std::string SimplexBasis::ToText() const {
   return text;
 }
 
-bool SimplexBasis::FromText(const std::string& text, SimplexBasis* out) {
-  out->status.clear();
-  out->status.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case 'L':
-        out->status.push_back(VarStatus::kAtLower);
-        break;
-      case 'U':
-        out->status.push_back(VarStatus::kAtUpper);
-        break;
-      case 'B':
-        out->status.push_back(VarStatus::kBasic);
-        break;
-      default:
-        out->status.clear();
-        return false;
-    }
-  }
-  return true;
-}
-
 // num_vars == 0 is allowed: the partitioning LP degenerates to zero
 // variables when every node is down, and the solver then just classifies
 // the constant constraints as satisfied or infeasible.

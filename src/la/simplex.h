@@ -53,10 +53,8 @@ struct SimplexBasis {
 
   bool empty() const { return status.empty(); }
 
-  /// Compact text form ('L'/'U'/'B' per variable) for decision records;
-  /// FromText returns false on any other character.
+  /// Compact text form ('L'/'U'/'B' per variable) for decision records.
   std::string ToText() const;
-  static bool FromText(const std::string& text, SimplexBasis* out);
 };
 
 struct SimplexResult {

@@ -89,45 +89,55 @@ void AttainmentTracker::OnIntervalEnd(int interval, double sim_time_ms,
   }
 }
 
-void AttainmentTracker::RecordCheckOutcome(const CheckOutcome& outcome) {
+void AttainmentTracker::RecordCheck(const DecisionRecord& record) {
   if (!enabled_) return;
-  SloState& state = slo_[outcome.klass];
+  const auto klass = static_cast<uint32_t>(record.klass);
+  SloState& state = slo_[klass];
   ++state.checks;
-  const size_t rung_slot = static_cast<size_t>(outcome.relaxed_rung + 1);
+  const size_t rung_slot = static_cast<size_t>(record.relaxed_rung + 1);
   if (state.rung_checks.size() <= rung_slot) {
     state.rung_checks.resize(rung_slot + 1, 0);
   }
   ++state.rung_checks[rung_slot];
-  // A check that found the class inside its band refreshes the converged
-  // baseline the next miss is compared against.
-  if (outcome.has_observed_rt && !outcome.too_slow) {
-    state.baseline_rts.push_back(outcome.observed_rt_ms);
+  // A check that measured the class (goal_rt stays 0 otherwise) and did not
+  // find it too slow — the controller's own comparison — refreshes the
+  // converged baseline the next miss is compared against.
+  if (record.goal_rt > 0.0 &&
+      !(record.observed_rt_k > record.goal_rt + record.tolerance_delta)) {
+    state.baseline_rts.push_back(record.observed_rt_k);
     if (state.baseline_rts.size() > static_cast<size_t>(kBaselineWindow)) {
       state.baseline_rts.pop_front();
     }
   }
+  if (!record.miss_card) return;
+  for (auto it = cards_.rbegin(); it != cards_.rend(); ++it) {
+    if (it->klass != klass || it->interval != record.interval) continue;
+    it->lp_run = record.lp_run;
+    it->lp_mode = record.lp_mode;
+    it->relaxed_rung = record.relaxed_rung;
+    return;
+  }
 }
 
-const AttainmentTracker::MissCard& AttainmentTracker::RecordMiss(
-    uint32_t klass, int interval, double sim_time_ms, double observed_rt_ms,
-    double goal_rt_ms, double tolerance_ms, const FaultState& faults) {
+void AttainmentTracker::RecordMiss(DecisionRecord* record,
+                                   const FaultState& faults) {
   MissCard card;
-  card.interval = interval;
-  card.sim_time_ms = sim_time_ms;
-  card.klass = klass;
-  card.observed_rt_ms = observed_rt_ms;
-  card.goal_rt_ms = goal_rt_ms;
-  card.tolerance_ms = tolerance_ms;
+  card.interval = record->interval;
+  card.sim_time_ms = record->sim_time_ms;
+  card.klass = static_cast<uint32_t>(record->klass);
+  card.observed_rt_ms = record->observed_rt_k;
+  card.goal_rt_ms = record->goal_rt;
+  card.tolerance_ms = record->tolerance_delta;
 
-  const SloState& state = slo_[klass];
+  const SloState& state = slo_[card.klass];
   if (!state.baseline_rts.empty()) {
     double sum = 0.0;
     for (double rt : state.baseline_rts) sum += rt;
     card.baseline_rt_ms = sum / static_cast<double>(state.baseline_rts.size());
   }
-  card.deviation_ms = observed_rt_ms - card.baseline_rt_ms;
+  card.deviation_ms = card.observed_rt_ms - card.baseline_rt_ms;
 
-  const auto it = last_interval_.find(klass);
+  const auto it = last_interval_.find(card.klass);
   if (it != last_interval_.end() && it->second.requests > 0) {
     const double n = static_cast<double>(it->second.requests);
     for (int i = 0; i < kNumBudgetPhases; ++i) {
@@ -149,20 +159,18 @@ const AttainmentTracker::MissCard& AttainmentTracker::RecordMiss(
   card.partition_epoch = faults.partition_epoch;
   card.corruptions = faults.corruptions_since_last_check;
 
+  record->miss_card = true;
+  record->miss_dominant_phase = BudgetPhaseName(card.dominant_phase);
+  record->miss_dominant_ms = card.dominant_ms;
+  record->miss_phase_ms.assign(card.phase_mean_ms,
+                               card.phase_mean_ms + kNumBudgetPhases);
+  record->miss_baseline_rt = card.baseline_rt_ms;
+  record->miss_deviation_ms = card.deviation_ms;
+  record->miss_nodes_down = card.nodes_down;
+  record->miss_nodes_degraded = card.nodes_degraded;
+  record->miss_partitioned = card.partitioned;
+  record->miss_corruptions = card.corruptions;
   cards_.push_back(std::move(card));
-  return cards_.back();
-}
-
-void AttainmentTracker::AnnotateLastMiss(uint32_t klass, bool lp_run,
-                                         const std::string& lp_mode,
-                                         int relaxed_rung) {
-  for (auto it = cards_.rbegin(); it != cards_.rend(); ++it) {
-    if (it->klass != klass) continue;
-    it->lp_run = lp_run;
-    it->lp_mode = lp_mode;
-    it->relaxed_rung = relaxed_rung;
-    return;
-  }
 }
 
 uint64_t AttainmentTracker::NoteCorruptions(uint32_t klass,

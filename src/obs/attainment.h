@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/decision_log.h"
 #include "obs/latency_budget.h"
 
 namespace memgoal::obs {
@@ -36,8 +37,8 @@ class Registry;
 ///     convergence diagnostics (allocation oscillation count,
 ///     intervals-since-last-miss, LP relaxation-rung residency).
 ///  3. Miss cards: on each missed coordinator check the caller joins the
-///     latest budget row with the decision record and the active fault
-///     state into a structured root-cause card.
+///     latest budget row with the check's decision record and the active
+///     fault state into a structured root-cause card.
 class AttainmentTracker {
  public:
   /// Allowed goal-miss fraction the error budget is charged against.
@@ -82,10 +83,6 @@ class AttainmentTracker {
   struct ClassSample {
     uint32_t klass = 0;
     bool has_goal = false;
-    double goal_rt_ms = 0.0;
-    double tolerance_ms = 0.0;
-    double observed_rt_ms = 0.0;
-    bool has_observed_rt = false;
     bool satisfied = false;
     uint64_t ops_completed = 0;
     uint64_t dedicated_bytes = 0;
@@ -98,20 +95,14 @@ class AttainmentTracker {
 
   // -- Controller feed ------------------------------------------------------
 
-  /// Outcome of one coordinator check (fed from the goal controller on
-  /// every check exit path, independent of whether a decision log is
-  /// attached).
-  struct CheckOutcome {
-    uint32_t klass = 0;
-    bool lease_held = true;
-    bool too_slow = false;
-    bool too_fast = false;
-    bool lp_run = false;
-    int relaxed_rung = -1;  // -1 = no relaxation
-    double observed_rt_ms = 0.0;
-    bool has_observed_rt = false;
-  };
-  void RecordCheckOutcome(const CheckOutcome& outcome);
+  /// Folds one finished coordinator check into its class's SLO state: the
+  /// relaxation-rung residency and, when the check measured the class
+  /// within its band, the converged baseline. The LP outcome is known only
+  /// now, so the miss card the check recorded (if any) takes its
+  /// lp_run/lp_mode/relaxed_rung from the record here. Fed from the goal
+  /// controller on every check exit path, whether or not a decision log is
+  /// attached.
+  void RecordCheck(const DecisionRecord& record);
 
   // -- Miss cards -----------------------------------------------------------
 
@@ -154,18 +145,11 @@ class AttainmentTracker {
     int relaxed_rung = -1;
   };
 
-  /// Builds, stores and returns the miss card for one missed check. The
-  /// caller (the goal controller) copies the card into its decision
-  /// record; `lp_mode`/`lp_run`/`relaxed_rung` arrive separately because
-  /// they are only known at the end of the check.
-  const MissCard& RecordMiss(uint32_t klass, int interval, double sim_time_ms,
-                             double observed_rt_ms, double goal_rt_ms,
-                             double tolerance_ms, const FaultState& faults);
-
-  /// Fills in the controller-state fields of the most recent miss card of
-  /// `klass` (the LP outcome is decided after the miss is detected).
-  void AnnotateLastMiss(uint32_t klass, bool lp_run,
-                        const std::string& lp_mode, int relaxed_rung);
+  /// Builds and stores the miss card of a check found too slow, from the
+  /// record's measurement stage (interval, class, observed RT, goal,
+  /// tolerance) and `faults`, and writes the card into the record's miss_*
+  /// fields. Called at detection, before the check's LP runs.
+  void RecordMiss(DecisionRecord* record, const FaultState& faults);
 
   /// Cumulative corruption-strike total at the last check of `klass`
   /// (helper for computing corruptions_since_last_check deterministically).

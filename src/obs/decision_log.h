@@ -8,11 +8,37 @@
 
 namespace memgoal::obs {
 
-/// One structured record per controller observation interval, tracing the
-/// full feedback chain of the paper's method: the measure point (accepted
-/// or rejected, and why), the basis condition estimate, the fitted plane
-/// coefficients, the LP status including which relaxation rung fired, and
-/// the shipped vs. clamped vs. granted per-node allocation.
+/// Per-SimplexStatus outcome counts of partitioning LP solves: one
+/// optimization's fallback chain (an equality miss plus an inequality hit
+/// counts both), or a controller's running total of them.
+struct LpOutcomeStats {
+  uint64_t optimal = 0;
+  uint64_t infeasible = 0;
+  uint64_t unbounded = 0;
+  /// Solves cut off by the simplex iteration safety bound. Distinct from
+  /// infeasible: the LP was never classified, and the retry ladder re-poses
+  /// it rather than trusting a half-finished basis.
+  uint64_t iteration_limit = 0;
+  /// Relaxed-goal retries attempted after the inequality LP was infeasible.
+  uint64_t relaxed_retries = 0;
+
+  LpOutcomeStats& operator+=(const LpOutcomeStats& other) {
+    optimal += other.optimal;
+    infeasible += other.infeasible;
+    unbounded += other.unbounded;
+    iteration_limit += other.iteration_limit;
+    relaxed_retries += other.relaxed_retries;
+    return *this;
+  }
+};
+
+/// The one record of a coordinator check, tracing the full feedback chain
+/// of the paper's method: the measure point (accepted or rejected, and
+/// why), the basis condition estimate, the fitted plane coefficients, the
+/// LP status including which relaxation rung fired, and the shipped vs.
+/// clamped vs. granted per-node allocation. The goal controller fills it
+/// on every check, whatever sinks are attached, and hands it to the
+/// attainment tracker and then to the decision log.
 ///
 /// Doubles serialize with %.17g, so a record round-trips bit-exactly: the
 /// replay test parses one record and re-runs SolvePartitioning on the
@@ -36,6 +62,8 @@ struct DecisionRecord {
   double observed_rt_k = 0.0;
   bool has_observed_rt_0 = false;
   double observed_rt_0 = 0.0;
+  /// 0 exactly when the check exited before measuring the class (every
+  /// goal is > 0).
   double goal_rt = 0.0;
   double tolerance_delta = 0.0;
   /// "accepted", "refreshed", "outlier", "rejected_dependent",
@@ -61,11 +89,9 @@ struct DecisionRecord {
   /// Index into kGoalRelaxationLadder that produced a feasible LP, or -1.
   int relaxed_rung = -1;
   double relaxed_goal_rt = 0.0;
-  uint64_t lp_optimal = 0;
-  uint64_t lp_infeasible = 0;
-  uint64_t lp_unbounded = 0;
-  uint64_t lp_iteration_limit = 0;
-  uint64_t lp_relaxed_retries = 0;
+  /// Serialized as lp_optimal, lp_infeasible, lp_unbounded,
+  /// lp_iteration_limit and lp_relaxed_retries.
+  LpOutcomeStats lp;
   /// True when the previous interval's simplex basis was offered as a warm
   /// start; lp_warm_basis is its 'L'/'U'/'B' text form (empty when cold),
   /// so a replay can reproduce the warm-started solve exactly.
@@ -81,10 +107,10 @@ struct DecisionRecord {
   /// What the nodes actually granted (ack'd views).
   std::vector<double> granted_allocation;
 
-  // Goal-miss root-cause card (attainment layer). Optional: serialized
-  // only when miss_card is true, and parsed leniently so records written
-  // before the attainment PR — or by runs without the tracker — still
-  // round-trip.
+  // Goal-miss root-cause card, written by AttainmentTracker::RecordMiss.
+  // Optional: serialized only when miss_card is true, and parsed leniently
+  // so records written before the attainment layer — or by runs without
+  // the tracker — still round-trip.
   bool miss_card = false;
   /// Dominant budget phase of the last finalized interval ("disk_wait",
   /// "fetch_wait", ...; see obs/latency_budget.h).
@@ -104,11 +130,6 @@ struct DecisionRecord {
 
   /// Single-line JSON object (no trailing newline).
   std::string ToJson() const;
-
-  /// Parses a record serialized by ToJson. Returns false on malformed
-  /// input. Only scans for ToJson's own key layout — this is a test/replay
-  /// helper, not a general JSON parser.
-  static bool FromJson(const std::string& json, DecisionRecord* out);
 };
 
 /// Append-only JSONL sink for decision records.

@@ -35,12 +35,6 @@ FaultInjector::FaultInjector(Simulator* simulator, uint32_t num_nodes,
     MEMGOAL_CHECK(event.at_ms >= 0.0);
     MEMGOAL_CHECK(event.groups.empty() || event.groups.size() == num_nodes);
   }
-  for (const LinkEvent& event : params.link_script) {
-    MEMGOAL_CHECK(event.at_ms >= 0.0);
-    MEMGOAL_CHECK(event.from < num_nodes);
-    MEMGOAL_CHECK(event.to < num_nodes);
-    MEMGOAL_CHECK(event.from != event.to);
-  }
   MEMGOAL_CHECK(params.mttc_ms >= 0.0);
   for (const CorruptionEvent& event : params.corruption_script) {
     MEMGOAL_CHECK(event.at_ms >= 0.0);
@@ -95,15 +89,6 @@ void FaultInjector::Start() {
         HealPartition();
       } else {
         SetPartition(event.groups);
-      }
-    });
-  }
-  for (const LinkEvent& event : params_.link_script) {
-    simulator_->At(event.at_ms, [this, event] {
-      if (event.cut) {
-        CutLink(event.from, event.to, event.symmetric);
-      } else {
-        RestoreLink(event.from, event.to, event.symmetric);
       }
     });
   }
@@ -186,10 +171,7 @@ bool FaultInjector::Restore(uint32_t node) {
 bool FaultInjector::Reachable(uint32_t from, uint32_t to) const {
   MEMGOAL_CHECK(from < num_nodes());
   MEMGOAL_CHECK(to < num_nodes());
-  if (from == to) return true;
-  if (grouped_ && group_[from] != group_[to]) return false;
-  if (links_cut_ > 0 && link_cut_[from * num_nodes() + to]) return false;
-  return true;
+  return !grouped_ || group_[from] == group_[to];
 }
 
 bool FaultInjector::SetPartition(const std::vector<uint32_t>& groups) {
@@ -210,47 +192,6 @@ bool FaultInjector::HealPartition() {
   if (!grouped_) return false;
   grouped_ = false;
   ++stats_.partition_heals;
-  NotifyTopologyChange();
-  return true;
-}
-
-bool FaultInjector::CutLink(uint32_t from, uint32_t to, bool symmetric) {
-  MEMGOAL_CHECK(from < num_nodes());
-  MEMGOAL_CHECK(to < num_nodes());
-  MEMGOAL_CHECK(from != to);
-  if (link_cut_.empty()) {
-    link_cut_.assign(static_cast<size_t>(num_nodes()) * num_nodes(), false);
-  }
-  auto sever = [this](uint32_t a, uint32_t b) {
-    if (link_cut_[a * num_nodes() + b]) return false;
-    link_cut_[a * num_nodes() + b] = true;
-    ++links_cut_;
-    return true;
-  };
-  bool changed = sever(from, to);
-  if (symmetric) changed = sever(to, from) || changed;
-  if (!changed) return false;
-  ++stats_.link_cuts;
-  NotifyTopologyChange();
-  return true;
-}
-
-bool FaultInjector::RestoreLink(uint32_t from, uint32_t to, bool symmetric) {
-  MEMGOAL_CHECK(from < num_nodes());
-  MEMGOAL_CHECK(to < num_nodes());
-  MEMGOAL_CHECK(from != to);
-  if (link_cut_.empty()) return false;
-  auto mend = [this](uint32_t a, uint32_t b) {
-    if (!link_cut_[a * num_nodes() + b]) return false;
-    link_cut_[a * num_nodes() + b] = false;
-    MEMGOAL_CHECK(links_cut_ > 0);
-    --links_cut_;
-    return true;
-  };
-  bool changed = mend(from, to);
-  if (symmetric) changed = mend(to, from) || changed;
-  if (!changed) return false;
-  ++stats_.link_restores;
   NotifyTopologyChange();
   return true;
 }

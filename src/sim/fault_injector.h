@@ -27,9 +27,8 @@ namespace memgoal::sim {
 ///    degradation compose freely: a degraded node can crash, and a node
 ///    that recovers from a crash is still degraded until its episode lifts.
 ///  - **Network partitions**: every node stays up, but the interconnect is
-///    cut. Symmetric cuts split the cluster into groups (messages cross
-///    group boundaries in neither direction); asymmetric cuts sever
-///    individual directed links. The stochastic process alternates
+///    cut into groups; messages cross group boundaries in neither
+///    direction. The stochastic process alternates
 ///    exponentially distributed whole-cluster phases and partition episodes
 ///    (MTTP / heal time) that isolate a uniformly drawn minority, so a
 ///    majority component always exists. Partitions compose freely with
@@ -84,18 +83,6 @@ class FaultInjector {
     std::vector<uint32_t> groups;
   };
 
-  struct LinkEvent {
-    SimTime at_ms = 0.0;
-    uint32_t from = 0;
-    uint32_t to = 0;
-    /// true = sever the link at `at_ms`, false = restore it.
-    bool cut = true;
-    /// Also applies to the reverse direction. A one-way (asymmetric) cut
-    /// models a gray interconnect: `from` can no longer deliver to `to`
-    /// while the reverse path stays intact.
-    bool symmetric = true;
-  };
-
   struct CorruptionEvent {
     SimTime at_ms = 0.0;
     uint32_t node = 0;
@@ -133,8 +120,6 @@ class FaultInjector {
 
     /// Deterministic partition schedule (may be empty).
     std::vector<PartitionEvent> partition_script;
-    /// Deterministic directed-link cut schedule (may be empty).
-    std::vector<LinkEvent> link_script;
     /// Mean time to partition of the stochastic whole-cluster process, ms;
     /// 0 disables it. Each episode cuts a uniformly drawn minority of
     /// 1..(num_nodes-1)/2 nodes off the rest, so a strict majority side
@@ -163,9 +148,6 @@ class FaultInjector {
     /// Group partitions begun (whole -> split transitions) / healed.
     uint64_t partitions = 0;
     uint64_t partition_heals = 0;
-    /// Directed links severed / restored (a symmetric cut counts once).
-    uint64_t link_cuts = 0;
-    uint64_t link_restores = 0;
     /// Corruption events fired (scripted events count once per `count`).
     uint64_t corruptions = 0;
   };
@@ -177,8 +159,8 @@ class FaultInjector {
   /// injection time keeps the access path free of RNG draws.
   using CorruptionCallback = std::function<void(uint32_t node, uint64_t draw)>;
   /// Runs synchronously after every reachability change (group cut,
-  /// reshape, heal, link cut or restore). Query Reachable()/Partitioned()
-  /// from inside for the new topology.
+  /// reshape or heal). Query Reachable()/Partitioned() from inside for the
+  /// new topology.
   using TopologyCallback = std::function<void()>;
 
   FaultInjector(Simulator* simulator, uint32_t num_nodes,
@@ -237,10 +219,10 @@ class FaultInjector {
   /// (Reachable says nothing about whether either endpoint is up).
   bool Reachable(uint32_t from, uint32_t to) const;
 
-  /// True while any cut (group partition or severed link) is in effect.
-  /// Cheap flag for fast paths that want to skip Reachable() entirely in
-  /// the common whole-cluster case.
-  bool Partitioned() const { return grouped_ || links_cut_ > 0; }
+  /// True while a group partition is in effect. Cheap flag for fast paths
+  /// that want to skip Reachable() entirely in the common whole-cluster
+  /// case.
+  bool Partitioned() const { return grouped_; }
 
   /// Increments on every reachability change. A coordinator that captured
   /// the value before suspending can detect that the topology moved
@@ -252,17 +234,9 @@ class FaultInjector {
   /// an all-same-group vector behaves like HealPartition().
   bool SetPartition(const std::vector<uint32_t>& groups);
 
-  /// Manually heals the group partition now (severed links stay severed).
-  /// Returns false if no group partition is in effect.
+  /// Manually heals the group partition now. Returns false if no group
+  /// partition is in effect.
   bool HealPartition();
-
-  /// Manually severs the `from` -> `to` link (both directions when
-  /// `symmetric`). Returns false if nothing changed.
-  bool CutLink(uint32_t from, uint32_t to, bool symmetric = true);
-
-  /// Manually restores the `from` -> `to` link (both directions when
-  /// `symmetric`). Returns false if nothing changed.
-  bool RestoreLink(uint32_t from, uint32_t to, bool symmetric = true);
 
   /// Manually fires one corruption event on `node` with the given draw.
   /// Fires even while the node is down (bit rot does not need a CPU);
@@ -296,9 +270,6 @@ class FaultInjector {
   // Group partition state: group_[node] is meaningful only while grouped_.
   bool grouped_ = false;
   std::vector<uint32_t> group_;
-  // Directed-link cuts, allocated num_nodes x num_nodes on first use.
-  std::vector<bool> link_cut_;
-  uint32_t links_cut_ = 0;
   uint64_t partition_epoch_ = 0;
   bool started_ = false;
 };

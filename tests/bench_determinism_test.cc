@@ -230,13 +230,14 @@ std::optional<core::Scenario> ParseScenario(const std::string& text) {
 
 ScenarioRun RunScenario(const core::Scenario& scenario,
                         obs::AttainmentTracker* attainment = nullptr,
-                        obs::Tracer* tracer = nullptr) {
+                        obs::Tracer* tracer = nullptr,
+                        bool log_decisions = true) {
   core::ClusterSystem system(scenario.system);
   for (const workload::ClassSpec& spec : scenario.classes) {
     system.AddClass(spec);
   }
   obs::DecisionLog decision_log;
-  system.SetDecisionLog(&decision_log);
+  if (log_decisions) system.SetDecisionLog(&decision_log);
   if (attainment != nullptr) system.SetAttainment(attainment);
   if (tracer != nullptr) system.SetTracer(tracer);
   sim::InvariantAuditor auditor;
@@ -261,10 +262,10 @@ ScenarioRun RunScenario(const core::Scenario& scenario,
 
 std::optional<ScenarioRun> RunScenarioText(
     const std::string& text, obs::AttainmentTracker* attainment = nullptr,
-    obs::Tracer* tracer = nullptr) {
+    obs::Tracer* tracer = nullptr, bool log_decisions = true) {
   std::optional<core::Scenario> scenario = ParseScenario(text);
   if (!scenario.has_value()) return std::nullopt;
-  return RunScenario(*scenario, attainment, tracer);
+  return RunScenario(*scenario, attainment, tracer, log_decisions);
 }
 
 // FNV-1a over the metrics CSV, the decision-log JSONL, the attainment
@@ -362,6 +363,16 @@ TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
   const auto text = [](const std::string& body) {
     return [body] { return RunScenarioText(body); };
   };
+  // A scenario file with the attainment tracker enabled: its miss cards
+  // and the decision records they annotate.
+  const auto tracked_file = [](const std::string& name,
+                               const std::string& overrides) {
+    return [name, overrides] {
+      obs::AttainmentTracker tracker;
+      tracker.Enable(true);
+      return RunScenarioText(ScenarioFile(name) + "\n" + overrides, &tracker);
+    };
+  };
   const auto chaos = [&text](uint64_t seed) {
     return text(std::string(kSmallCluster) + kBusyClasses +
                 "chaos_seed=" + std::to_string(seed) + "\n");
@@ -390,6 +401,10 @@ TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
             "corrupt_salt=9\nscrub=idle\nscrub_interval_ms=500\naudit=1\n")},
       {"crashing+attainment", 0x1d653852fa505003ull,
        RunTrackedCrashingCluster},
+      {"variance+attainment", 0xbfae783d9d6741c8ull,
+       tracked_file("base.conf", "objective=variance\nintervals=20\n")},
+      {"partition+attainment", 0x015a6e697090cfb5ull,
+       tracked_file("partition.conf", "intervals=34\n")},
   };
   for (const Golden& golden : goldens) {
     const std::optional<ScenarioRun> run = golden.run();
@@ -468,6 +483,28 @@ TEST(ScenarioBitExactness, TracingBesideAttainmentTrackingIsBitExact) {
   EXPECT_EQ(tracked->attainment_csv, both->attainment_csv);
   EXPECT_EQ(tracked->decision_jsonl, both->decision_jsonl);
   EXPECT_GT(tracer.size(), 0u);
+}
+
+TEST(ScenarioBitExactness, AttainmentExportsDoNotNeedTheDecisionLog) {
+  // The tracker reads every coordinator check whether or not a decision
+  // log is attached: a tracked run without a log must export the same
+  // budget rows and miss cards, byte for byte, as the same run with one.
+  const std::string text = CrashingCluster();
+  obs::AttainmentTracker logged_tracker;
+  logged_tracker.Enable(true);
+  const std::optional<ScenarioRun> logged =
+      RunScenarioText(text, &logged_tracker);
+  obs::AttainmentTracker unlogged_tracker;
+  unlogged_tracker.Enable(true);
+  const std::optional<ScenarioRun> unlogged = RunScenarioText(
+      text, &unlogged_tracker, /*tracer=*/nullptr, /*log_decisions=*/false);
+  ASSERT_TRUE(logged.has_value() && unlogged.has_value());
+  EXPECT_TRUE(unlogged->decision_jsonl.empty());
+  EXPECT_FALSE(logged_tracker.cards().empty());
+  EXPECT_EQ(logged->events, unlogged->events);
+  EXPECT_EQ(logged->metrics_csv, unlogged->metrics_csv);
+  EXPECT_EQ(logged->attainment_jsonl, unlogged->attainment_jsonl);
+  EXPECT_EQ(logged->attainment_csv, unlogged->attainment_csv);
 }
 
 }  // namespace

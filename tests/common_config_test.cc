@@ -140,6 +140,43 @@ TEST(ConfigTest, NearestSuggestionSharedHelper) {
             "frames");
 }
 
+TEST(ConfigTest, BadValueYieldsFallbackAndFailsTheFlagCheck) {
+  // A value a typed getter cannot convert is not an abort: the getter
+  // returns its fallback and the flag check fails with the first bad
+  // value, before it looks for unknown flags.
+  const char* argv[] = {"prog", "intervals=abc", "--seeds=x", "--quick=maybe",
+                        "--bogus=1"};
+  Config config;
+  ASSERT_TRUE(config.ParseArgs(5, argv));
+  EXPECT_EQ(config.GetInt("intervals", 24), 24);
+  EXPECT_DOUBLE_EQ(config.GetDouble("seeds", 1.5), 1.5);
+  EXPECT_TRUE(config.GetBool("quick", true));
+  EXPECT_FALSE(config.RejectUnknownFlags());
+  EXPECT_EQ(config.error(), "intervals must be an integer, got abc");
+}
+
+TEST(ConfigTest, EachGetterNamesItsKind) {
+  const char* argv[] = {"prog", "--skew=high", "--quick=maybe", "--n=1.5"};
+  const struct {
+    int arg;
+    const char* message;
+  } cases[] = {
+      {1, "skew must be a number, got high"},
+      {2, "quick must be 1/0, true/false, yes/no or on/off, got maybe"},
+      {3, "n must be an integer, got 1.5"},
+  };
+  for (const auto& c : cases) {
+    const char* args[] = {argv[0], argv[c.arg]};
+    Config config;
+    ASSERT_TRUE(config.ParseArgs(2, args));
+    config.GetDouble("skew", 0.0);
+    config.GetBool("quick", false);
+    config.GetInt("n", 0);
+    EXPECT_FALSE(config.RejectUnknownFlags());
+    EXPECT_EQ(config.error(), c.message);
+  }
+}
+
 TEST(ConfigTest, RejectUnknownFlagsOmitsFarFetchedSuggestions) {
   const char* argv[] = {"prog", "--zzzzzz=1"};
   Config config;

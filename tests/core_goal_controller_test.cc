@@ -9,6 +9,7 @@
 #include "core/system.h"
 #include "obs/decision_log.h"
 #include "obs/registry.h"
+#include "oracles/record_parse.h"
 #include "workload/spec.h"
 
 namespace memgoal::core {
@@ -230,7 +231,7 @@ TEST(GoalControllerTest, DecisionLogTracesEveryCheckAndReplaysTheLp) {
     // The acceptance gate: a record round-tripped through its JSON form
     // must reproduce the logged LP decision bit-for-bit.
     obs::DecisionRecord parsed;
-    ASSERT_TRUE(obs::DecisionRecord::FromJson(record.ToJson(), &parsed));
+    ASSERT_TRUE(obs::ParseDecisionRecord(record.ToJson(), &parsed));
     OptimizerInput input;
     input.planes.grad_k = parsed.grad_k;
     input.planes.intercept_k = parsed.intercept_k;

@@ -31,6 +31,7 @@
 #include "la/simplex.h"
 #include "obs/decision_log.h"
 #include "oracles/dense_simplex.h"
+#include "oracles/record_parse.h"
 
 namespace memgoal::core {
 namespace {
@@ -154,7 +155,7 @@ TEST(LpOracleDifferential, WarmStartedSolvesReplayBitForBit) {
   for (const obs::DecisionRecord& record : *records) {
     if (!record.lp_run || !record.has_planes || !record.lp_warm) continue;
     la::SimplexBasis basis;
-    ASSERT_TRUE(la::SimplexBasis::FromText(record.lp_warm_basis, &basis));
+    ASSERT_TRUE(la::ParseSimplexBasis(record.lp_warm_basis, &basis));
     ASSERT_FALSE(basis.empty());
     OptimizerInput input = InputOf(record);
     input.warm = &basis;

@@ -136,7 +136,7 @@ TEST(OptimizerTest, LpStatsCountSuccessfulSolves) {
   EXPECT_EQ(output.lp_stats.infeasible, 0u);
   EXPECT_EQ(output.lp_stats.relaxed_retries, 0u);
 
-  LpOutcomeStats total;
+  obs::LpOutcomeStats total;
   total += output.lp_stats;
   total += output.lp_stats;
   EXPECT_EQ(total.optimal, 2u);

@@ -150,8 +150,8 @@ TEST(PartitionTest, MajoritySideKeepsLeaseAndMinorityIsCutOff) {
   EXPECT_FALSE(system.Reachable(0, 2));
   EXPECT_FALSE(system.Reachable(2, 0));
   EXPECT_TRUE(system.Reachable(0, 1));
-  EXPECT_EQ(system.partition_begins(), 1u);
-  EXPECT_EQ(system.partition_heals(), 0u);
+  EXPECT_EQ(system.fault_injector().stats().partitions, 1u);
+  EXPECT_EQ(system.fault_injector().stats().partition_heals, 0u);
   // Cross-cut traffic is being dropped at the boundary.
   EXPECT_GT(system.network().total_messages_partition_dropped(), 0u);
 
@@ -163,9 +163,18 @@ TEST(PartitionTest, MajoritySideKeepsLeaseAndMinorityIsCutOff) {
 
   system.RunIntervals(27);  // through the heal at 60 s, out to 180 s
   EXPECT_FALSE(system.Partitioned());
-  EXPECT_EQ(system.partition_heals(), 1u);
   EXPECT_EQ(system.fault_injector().stats().partitions, 1u);
   EXPECT_EQ(system.fault_injector().stats().partition_heals, 1u);
+  // The registry's lifecycle counters read the injector's.
+  int lifecycle_counters = 0;
+  for (const auto& entry : system.registry().history().back().entries) {
+    if (entry.name == "cluster.partition_begins" ||
+        entry.name == "cluster.partition_heals") {
+      EXPECT_EQ(entry.value, 1.0) << entry.name;
+      ++lifecycle_counters;
+    }
+  }
+  EXPECT_EQ(lifecycle_counters, 2);
 
   // Heal-time reconciliation re-sent the hints the cut swallowed, so no
   // node still owes the directory anything.

@@ -318,29 +318,30 @@ TEST(GrayFailureTest, HealthScoreTracksTimeoutsAndDecays) {
   ClusterSystem system(TestConfig(53));
   system.AddClass(GoalClass(3.5));
   system.AddClass(NoGoalClass());
-  const double baseline = system.HealthScore(2);
+  // The score is the node's replica-ranking cost in the directory, seeded
+  // at the healthy remote-buffer fetch time.
+  const double baseline = system.directory().NodeCost(2);
   ASSERT_GT(baseline, 0.0);
-  EXPECT_DOUBLE_EQ(system.directory().NodeCost(2), baseline);
+  EXPECT_EQ(baseline, system.cost_model().remote_buffer_ms);
 
   // A hedged fetch that hit its deadline feeds a censored sample: the
   // score escalates past the deadline it waited (the true latency is only
-  // known to exceed it) and the directory cost tracks it.
+  // known to exceed it).
   system.RecordFetchTimeout(2, 2.0);
-  const double after_timeout = system.HealthScore(2);
+  const double after_timeout = system.directory().NodeCost(2);
   EXPECT_GT(after_timeout, baseline);
-  EXPECT_DOUBLE_EQ(system.directory().NodeCost(2), after_timeout);
   system.RecordFetchTimeout(2, 2.0);
-  EXPECT_GT(system.HealthScore(2), after_timeout);
+  EXPECT_GT(system.directory().NodeCost(2), after_timeout);
 
   // Recovery decays the score toward the healthy baseline so a repaired
   // node is probed again instead of being shunned forever.
-  double previous = system.HealthScore(2);
+  double previous = system.directory().NodeCost(2);
   for (int i = 0; i < 40; ++i) {
     system.DecayHealth(2);
-    EXPECT_LE(system.HealthScore(2), previous);
-    previous = system.HealthScore(2);
+    EXPECT_LE(system.directory().NodeCost(2), previous);
+    previous = system.directory().NodeCost(2);
   }
-  EXPECT_NEAR(system.HealthScore(2), baseline, 0.05 * baseline);
+  EXPECT_NEAR(system.directory().NodeCost(2), baseline, 0.05 * baseline);
 }
 
 TEST(GrayFailureTest, DegradedNodeConvergesBackIntoTolerance) {
@@ -362,8 +363,8 @@ TEST(GrayFailureTest, DegradedNodeConvergesBackIntoTolerance) {
   EXPECT_DOUBLE_EQ(system.node(2).disk().slowdown(), 50.0);
   // The health EWMA has learned that node 2 is slow: replica ranking now
   // prefers the healthy nodes.
-  EXPECT_GT(system.HealthScore(2), system.HealthScore(0));
-  EXPECT_GT(system.HealthScore(2), system.HealthScore(1));
+  EXPECT_GT(system.directory().NodeCost(2), system.directory().NodeCost(0));
+  EXPECT_GT(system.directory().NodeCost(2), system.directory().NodeCost(1));
 
   system.RunIntervals(25);  // through recovery at 110 s, out to 225 s
   EXPECT_FALSE(system.fault_injector().IsDegraded(2));
@@ -391,7 +392,7 @@ TEST(GrayFailureTest, DegradedNodeConvergesBackIntoTolerance) {
   // carries the simplex outcome counters.
   const auto& controller =
       dynamic_cast<const GoalOrientedController&>(system.controller());
-  EXPECT_GT(controller.stats().lp_status_optimal, 0u);
+  EXPECT_GT(controller.stats().lp.optimal, 0u);
   EXPECT_GT(system.metrics().back().lp.optimal, 0u);
 
   // Re-convergence: the goal class sits inside its tolerance band through

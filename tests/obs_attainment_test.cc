@@ -10,6 +10,7 @@
 #include "core/system.h"
 #include "obs/decision_log.h"
 #include "obs/latency_budget.h"
+#include "oracles/record_parse.h"
 #include "workload/spec.h"
 
 namespace memgoal::obs {
@@ -63,10 +64,6 @@ AttainmentTracker::ClassSample GoalSample(bool satisfied, uint64_t ops,
   AttainmentTracker::ClassSample sample;
   sample.klass = 1;
   sample.has_goal = true;
-  sample.goal_rt_ms = 10.0;
-  sample.tolerance_ms = 1.0;
-  sample.observed_rt_ms = satisfied ? 9.0 : 14.0;
-  sample.has_observed_rt = ops > 0;
   sample.satisfied = satisfied;
   sample.ops_completed = ops;
   sample.dedicated_bytes = bytes;
@@ -108,29 +105,40 @@ TEST(AttainmentTrackerTest, SloWindowsAdvancePerInterval) {
   EXPECT_EQ(state.window.size(), 3u);
 }
 
-TEST(AttainmentTrackerTest, CheckOutcomesFeedRungResidencyAndBaseline) {
+// The decision record of a class-1 check that measured `observed_rt_ms`
+// against a 10 ms goal with a 1 ms tolerance.
+DecisionRecord MeasuredCheck(int interval, double observed_rt_ms) {
+  DecisionRecord record;
+  record.interval = interval;
+  record.sim_time_ms = interval * 5000.0 + 1.0;
+  record.klass = 1;
+  record.observed_rt_k = observed_rt_ms;
+  record.goal_rt = 10.0;
+  record.tolerance_delta = 1.0;
+  return record;
+}
+
+TEST(AttainmentTrackerTest, ChecksFeedRungResidencyAndBaseline) {
   AttainmentTracker tracker;
   tracker.Enable(true);
 
-  AttainmentTracker::CheckOutcome ok;
-  ok.klass = 1;
-  ok.observed_rt_ms = 9.5;
-  ok.has_observed_rt = true;
-  tracker.RecordCheckOutcome(ok);
+  tracker.RecordCheck(MeasuredCheck(0, 9.5));
 
-  AttainmentTracker::CheckOutcome slow;
-  slow.klass = 1;
-  slow.too_slow = true;
+  DecisionRecord slow = MeasuredCheck(1, 15.0);
   slow.lp_run = true;
   slow.relaxed_rung = 1;
-  slow.observed_rt_ms = 15.0;
-  slow.has_observed_rt = true;
-  tracker.RecordCheckOutcome(slow);
+  tracker.RecordCheck(slow);
+
+  // A check that exited before measuring (goal_rt stays 0) counts, but
+  // never refreshes the baseline.
+  DecisionRecord unmeasured;
+  unmeasured.klass = 1;
+  tracker.RecordCheck(unmeasured);
 
   const AttainmentTracker::SloState& state = tracker.slo().at(1);
-  EXPECT_EQ(state.checks, 2u);
+  EXPECT_EQ(state.checks, 3u);
   ASSERT_GE(state.rung_checks.size(), 3u);
-  EXPECT_EQ(state.rung_checks[0], 1u);  // unrelaxed check
+  EXPECT_EQ(state.rung_checks[0], 2u);  // unrelaxed checks
   EXPECT_EQ(state.rung_checks[2], 1u);  // rung-1 check
   // Only the in-band check refreshed the converged baseline.
   ASSERT_EQ(state.baseline_rts.size(), 1u);
@@ -148,19 +156,22 @@ TEST(AttainmentTrackerTest, MissCardJoinsBudgetBaselineAndFaults) {
   tracker.RecordRequest(1, 2, 8.0, budget);
   tracker.OnIntervalEnd(0, 5000.0, {GoalSample(true, 1, 100)});
 
-  AttainmentTracker::CheckOutcome ok;
-  ok.klass = 1;
-  ok.observed_rt_ms = 8.0;
-  ok.has_observed_rt = true;
-  tracker.RecordCheckOutcome(ok);
+  tracker.RecordCheck(MeasuredCheck(0, 8.0));
 
   AttainmentTracker::FaultState faults;
   faults.nodes_down = 1;
   faults.partitioned = true;
   faults.partition_epoch = 3;
   faults.corruptions_since_last_check = 2;
-  const AttainmentTracker::MissCard& card =
-      tracker.RecordMiss(1, 0, 5001.0, 14.0, 10.0, 1.0, faults);
+  DecisionRecord record = MeasuredCheck(1, 14.0);
+  tracker.RecordMiss(&record, faults);
+  ASSERT_EQ(tracker.cards().size(), 1u);
+  const AttainmentTracker::MissCard& card = tracker.cards()[0];
+  EXPECT_EQ(card.interval, 1);
+  EXPECT_EQ(card.sim_time_ms, 5001.0);
+  EXPECT_EQ(card.observed_rt_ms, 14.0);
+  EXPECT_EQ(card.goal_rt_ms, 10.0);
+  EXPECT_EQ(card.tolerance_ms, 1.0);
   EXPECT_EQ(card.dominant_phase, BudgetPhase::kDiskWait);
   EXPECT_DOUBLE_EQ(card.dominant_ms, 6.0);
   EXPECT_DOUBLE_EQ(card.baseline_rt_ms, 8.0);
@@ -171,11 +182,29 @@ TEST(AttainmentTrackerTest, MissCardJoinsBudgetBaselineAndFaults) {
   EXPECT_EQ(card.corruptions, 2u);
   EXPECT_FALSE(card.lp_run);
 
-  tracker.AnnotateLastMiss(1, /*lp_run=*/true, "goal_relaxed", 1);
-  ASSERT_EQ(tracker.cards().size(), 1u);
-  EXPECT_TRUE(tracker.cards()[0].lp_run);
-  EXPECT_EQ(tracker.cards()[0].lp_mode, "goal_relaxed");
-  EXPECT_EQ(tracker.cards()[0].relaxed_rung, 1);
+  // The card is written into the record once, at detection.
+  EXPECT_TRUE(record.miss_card);
+  EXPECT_EQ(record.miss_dominant_phase, "disk_wait");
+  EXPECT_EQ(record.miss_dominant_ms, card.dominant_ms);
+  ASSERT_EQ(record.miss_phase_ms.size(),
+            static_cast<size_t>(kNumBudgetPhases));
+  EXPECT_EQ(record.miss_phase_ms[static_cast<int>(BudgetPhase::kDiskWait)],
+            6.0);
+  EXPECT_EQ(record.miss_baseline_rt, card.baseline_rt_ms);
+  EXPECT_EQ(record.miss_deviation_ms, card.deviation_ms);
+  EXPECT_EQ(record.miss_nodes_down, 1u);
+  EXPECT_EQ(record.miss_nodes_degraded, 0u);
+  EXPECT_TRUE(record.miss_partitioned);
+  EXPECT_EQ(record.miss_corruptions, 2u);
+
+  // The LP outcome reaches the card when the check reports its record.
+  record.lp_run = true;
+  record.lp_mode = "goal_relaxed";
+  record.relaxed_rung = 1;
+  tracker.RecordCheck(record);
+  EXPECT_TRUE(card.lp_run);
+  EXPECT_EQ(card.lp_mode, "goal_relaxed");
+  EXPECT_EQ(card.relaxed_rung, 1);
 }
 
 TEST(AttainmentTrackerTest, NoteCorruptionsReturnsDeltaSinceLastCheck) {
@@ -194,9 +223,7 @@ TEST(AttainmentTrackerTest, DisabledTrackerIsInert) {
   budget.SetResidual(1.0);
   tracker.RecordRequest(1, 0, 1.0, budget);
   tracker.OnIntervalEnd(0, 5000.0, {GoalSample(true, 1, 100)});
-  AttainmentTracker::CheckOutcome outcome;
-  outcome.klass = 1;
-  tracker.RecordCheckOutcome(outcome);
+  tracker.RecordCheck(MeasuredCheck(0, 9.0));
   EXPECT_EQ(tracker.requests_recorded(), 0u);
   EXPECT_TRUE(tracker.rows().empty());
   EXPECT_TRUE(tracker.slo().empty());
@@ -316,7 +343,7 @@ TEST(AttainmentMissCardTest, DecisionRecordRoundTripsBitForBit) {
 
   const std::string json = record.ToJson();
   DecisionRecord parsed;
-  ASSERT_TRUE(DecisionRecord::FromJson(json, &parsed));
+  ASSERT_TRUE(ParseDecisionRecord(json, &parsed));
   EXPECT_TRUE(parsed.miss_card);
   EXPECT_EQ(parsed.miss_dominant_phase, record.miss_dominant_phase);
   EXPECT_EQ(parsed.miss_dominant_ms, record.miss_dominant_ms);
@@ -339,7 +366,7 @@ TEST(AttainmentMissCardTest, RecordWithoutMissCardOmitsTheBlock) {
   const std::string json = record.ToJson();
   EXPECT_EQ(json.find("miss_"), std::string::npos);
   DecisionRecord parsed;
-  ASSERT_TRUE(DecisionRecord::FromJson(json, &parsed));
+  ASSERT_TRUE(ParseDecisionRecord(json, &parsed));
   EXPECT_FALSE(parsed.miss_card);
 }
 

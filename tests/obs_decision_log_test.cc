@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/optimizer.h"
+#include "oracles/record_parse.h"
 
 namespace memgoal::obs {
 namespace {
@@ -38,10 +39,10 @@ DecisionRecord FullRecord() {
   record.lp_mode = "goal_relaxed";
   record.relaxed_rung = 1;
   record.relaxed_goal_rt = 12.5;
-  record.lp_optimal = 2;
-  record.lp_infeasible = 2;
-  record.lp_unbounded = 0;
-  record.lp_relaxed_retries = 2;
+  record.lp.optimal = 2;
+  record.lp.infeasible = 2;
+  record.lp.unbounded = 0;
+  record.lp.relaxed_retries = 2;
   record.lp_allocation = {2097152.0, 1234944.0, 0.0};
   record.shipped_allocation = {2097152.0, 1232896.0, 0.0};
   record.granted_allocation = {2097152.0, 1232896.0, 0.0};
@@ -51,7 +52,7 @@ DecisionRecord FullRecord() {
 TEST(DecisionRecordTest, JsonRoundTripIsExact) {
   const DecisionRecord record = FullRecord();
   DecisionRecord parsed;
-  ASSERT_TRUE(DecisionRecord::FromJson(record.ToJson(), &parsed));
+  ASSERT_TRUE(ParseDecisionRecord(record.ToJson(), &parsed));
 
   EXPECT_EQ(parsed.interval, record.interval);
   EXPECT_EQ(parsed.sim_time_ms, record.sim_time_ms);
@@ -73,19 +74,19 @@ TEST(DecisionRecordTest, JsonRoundTripIsExact) {
   EXPECT_EQ(parsed.lp_mode, record.lp_mode);
   EXPECT_EQ(parsed.relaxed_rung, record.relaxed_rung);
   EXPECT_EQ(parsed.relaxed_goal_rt, record.relaxed_goal_rt);
-  EXPECT_EQ(parsed.lp_optimal, record.lp_optimal);
-  EXPECT_EQ(parsed.lp_relaxed_retries, record.lp_relaxed_retries);
+  EXPECT_EQ(parsed.lp.optimal, record.lp.optimal);
+  EXPECT_EQ(parsed.lp.relaxed_retries, record.lp.relaxed_retries);
   EXPECT_EQ(parsed.lp_allocation, record.lp_allocation);
   EXPECT_EQ(parsed.shipped_allocation, record.shipped_allocation);
   EXPECT_EQ(parsed.granted_allocation, record.granted_allocation);
 }
 
-TEST(DecisionRecordTest, FromJsonRejectsTruncatedInput) {
+TEST(DecisionRecordTest, ParseRejectsTruncatedInput) {
   const std::string json = FullRecord().ToJson();
   DecisionRecord out;
-  EXPECT_FALSE(DecisionRecord::FromJson(json.substr(0, json.size() / 2), &out));
-  EXPECT_FALSE(DecisionRecord::FromJson("", &out));
-  EXPECT_FALSE(DecisionRecord::FromJson("{}", &out));
+  EXPECT_FALSE(ParseDecisionRecord(json.substr(0, json.size() / 2), &out));
+  EXPECT_FALSE(ParseDecisionRecord("", &out));
+  EXPECT_FALSE(ParseDecisionRecord("{}", &out));
 }
 
 // The acceptance-criteria replay: serialize the LP inputs the controller
@@ -124,7 +125,7 @@ TEST(DecisionRecordTest, ReplayReproducesLpAllocationBitForBit) {
     record.lp_allocation = output.allocation;
 
     DecisionRecord parsed;
-    ASSERT_TRUE(DecisionRecord::FromJson(record.ToJson(), &parsed));
+    ASSERT_TRUE(ParseDecisionRecord(record.ToJson(), &parsed));
 
     core::OptimizerInput replay_input;
     replay_input.planes.grad_k = parsed.grad_k;
@@ -167,7 +168,7 @@ TEST(DecisionLogTest, WriteJsonlEmitsOneParseableLinePerRecord) {
       text.pop_back();
     }
     DecisionRecord parsed;
-    EXPECT_TRUE(DecisionRecord::FromJson(text, &parsed)) << text;
+    EXPECT_TRUE(ParseDecisionRecord(text, &parsed)) << text;
     EXPECT_EQ(parsed.interval, 12 + lines);
     ++lines;
   }

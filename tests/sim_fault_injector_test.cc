@@ -300,44 +300,6 @@ TEST(FaultInjectorTest, ManualPartitionRejectsNoOps) {
   EXPECT_EQ(injector.stats().partition_heals, 1u);
 }
 
-TEST(FaultInjectorTest, AsymmetricLinkCutIsOneWay) {
-  Simulator simulator;
-  FaultInjector injector(&simulator, 3, FaultInjector::Params{});
-
-  ASSERT_TRUE(injector.CutLink(0, 1, /*symmetric=*/false));
-  EXPECT_TRUE(injector.Partitioned());
-  // Gray interconnect: 0 cannot deliver to 1, the reverse path is intact.
-  EXPECT_FALSE(injector.Reachable(0, 1));
-  EXPECT_TRUE(injector.Reachable(1, 0));
-  EXPECT_TRUE(injector.Reachable(0, 2));
-
-  EXPECT_FALSE(injector.CutLink(0, 1, /*symmetric=*/false));  // already cut
-  ASSERT_TRUE(injector.RestoreLink(0, 1, /*symmetric=*/false));
-  EXPECT_FALSE(injector.Partitioned());
-  EXPECT_TRUE(injector.Reachable(0, 1));
-  EXPECT_EQ(injector.stats().link_cuts, 1u);
-  EXPECT_EQ(injector.stats().link_restores, 1u);
-}
-
-TEST(FaultInjectorTest, LinkCutsComposeWithGroupPartition) {
-  Simulator simulator;
-  FaultInjector injector(&simulator, 4, FaultInjector::Params{});
-
-  ASSERT_TRUE(injector.SetPartition({0, 0, 1, 1}));
-  ASSERT_TRUE(injector.CutLink(0, 1));  // symmetric, within the group
-  EXPECT_FALSE(injector.Reachable(0, 1));
-  EXPECT_FALSE(injector.Reachable(1, 0));
-  EXPECT_FALSE(injector.Reachable(0, 2));  // across the group cut
-
-  // Healing the group partition leaves the severed link severed.
-  ASSERT_TRUE(injector.HealPartition());
-  EXPECT_TRUE(injector.Partitioned());
-  EXPECT_FALSE(injector.Reachable(0, 1));
-  EXPECT_TRUE(injector.Reachable(0, 2));
-  ASSERT_TRUE(injector.RestoreLink(0, 1));
-  EXPECT_FALSE(injector.Partitioned());
-}
-
 TEST(FaultInjectorTest, StochasticPartitionsIsolateMinoritiesDeterministically) {
   auto run = [](uint64_t seed) {
     Simulator simulator;

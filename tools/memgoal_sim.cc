@@ -370,14 +370,13 @@ int Run(memgoal::common::Config& config) {
         static_cast<unsigned long long>(fault_stats.degradations),
         static_cast<unsigned long long>(fault_stats.degradation_recoveries));
   }
-  if (fault_stats.partitions > 0 || fault_stats.link_cuts > 0) {
+  if (fault_stats.partitions > 0) {
     std::fprintf(
         stderr,
-        "# partitions: episodes=%llu heals=%llu link_cuts=%llu "
-        "msgs_dropped=%llu reconciled_hints=%llu stale_grants_rejected=%llu\n",
+        "# partitions: episodes=%llu heals=%llu msgs_dropped=%llu "
+        "reconciled_hints=%llu stale_grants_rejected=%llu\n",
         static_cast<unsigned long long>(fault_stats.partitions),
         static_cast<unsigned long long>(fault_stats.partition_heals),
-        static_cast<unsigned long long>(fault_stats.link_cuts),
         static_cast<unsigned long long>(
             system.network().total_messages_partition_dropped()),
         static_cast<unsigned long long>(system.reconcile_hints_sent()),
