@@ -29,8 +29,8 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 10 : 30));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 10 : 30, common::kIntCount));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("ablation_hints", &args);
   if (!args.RejectUnknownFlags()) {

@@ -105,8 +105,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 20 : 60));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 20 : 60, common::kIntCount));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("ablation_objective", &args);
   if (!args.RejectUnknownFlags()) {

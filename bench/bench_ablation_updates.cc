@@ -27,8 +27,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 16 : 40));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 16 : 40, common::kIntCount));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("ablation_updates", &args);
   if (!args.RejectUnknownFlags()) {

@@ -37,8 +37,8 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 16 : 50));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 16 : 50, common::kIntCount));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("baselines", &args);
   if (!args.RejectUnknownFlags()) {

@@ -644,7 +644,8 @@ int Run(int argc, char** argv) {
   // The quick gray run needs room after the episode for the victim's
   // backlog to drain before the settled tail is sampled.
   const int intervals = static_cast<int>(
-      args.GetInt("intervals", quick ? (gray ? 48 : 36) : (gray ? 72 : 60)));
+      args.GetInt("intervals", quick ? (gray ? 48 : 36) : (gray ? 72 : 60),
+                  common::kIntCount));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const double crash_at = args.GetDouble("crash_at_ms", 100000.0);
   const double partition_at = args.GetDouble("partition_at_ms", 100000.0);

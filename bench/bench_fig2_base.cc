@@ -27,8 +27,8 @@ int Run(int argc, char** argv) {
   setup.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   setup.skew = args.GetDouble("skew", 0.0);
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 24 : 80));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 24 : 80, common::kIntCount));
   BenchReporter reporter("fig2_base", &args);
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());

@@ -169,8 +169,8 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 24 : 100));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 24 : 100, common::kIntCount));
   const int max_runs =
       static_cast<int>(args.GetInt("max_runs", quick ? 2 : 4));
   const uint64_t seed0 = static_cast<uint64_t>(args.GetInt("seed", 1));

@@ -27,8 +27,8 @@ int Run(int argc, char** argv) {
   Setup setup;
   setup.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 20 : 60));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 20 : 60, common::kIntCount));
   BenchReporter reporter("overhead_traffic", &args);
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());

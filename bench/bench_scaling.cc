@@ -98,8 +98,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 24 : 80));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 24 : 80, common::kIntCount));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const std::string part = args.GetString("part", "ab");
   if (part.empty() || part.find_first_not_of("abc") != std::string::npos) {

@@ -28,8 +28,8 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const bool quick = args.GetBool("quick", false);
-  const int intervals =
-      static_cast<int>(args.GetInt("intervals", quick ? 30 : 100));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", quick ? 30 : 100, common::kIntCount));
   const int max_runs = static_cast<int>(args.GetInt("max_runs", quick ? 2 : 5));
   const uint64_t seed0 = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("table2_skew", &args);

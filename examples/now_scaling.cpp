@@ -28,8 +28,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  const auto nodes = static_cast<uint32_t>(args.GetInt("nodes", 6));
-  const int intervals = static_cast<int>(args.GetInt("intervals", 40));
+  const auto nodes = static_cast<uint32_t>(
+      args.GetInt("nodes", 6, {1, memgoal::core::kMaxNodes}));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", 40, memgoal::common::kIntCount));
 
   memgoal::core::SystemConfig config;
   config.num_nodes = nodes;

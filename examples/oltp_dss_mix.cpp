@@ -108,7 +108,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  const int intervals = static_cast<int>(args.GetInt("intervals", 40));
+  // The goal derives from the unmanaged run's response time, which needs
+  // at least one interval.
+  const int intervals = static_cast<int>(args.GetInt(
+      "intervals", 40, {1, memgoal::common::kIntCount.max}));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   // 0 (the default) derives the goal from the unmanaged run below.
   const double goal_flag = args.GetDouble("goal_ms", 0.0);

@@ -5,13 +5,13 @@
 // met.
 //
 // Usage: quickstart [key=value ...]
-//   e.g. quickstart goal_ms=2.0 intervals=40 skew=0.5 seed=7 log=debug
+//   e.g. quickstart goal_ms=2.0 intervals=40 skew=0.5 seed=7
 
 #include <cstdio>
+#include <limits>
 
 #include "baseline/static_controllers.h"
 #include "common/config.h"
-#include "common/logging.h"
 #include "core/goal_controller.h"
 #include "core/system.h"
 
@@ -24,14 +24,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  memgoal::common::Logger::SetLevel(memgoal::common::Logger::ParseLevel(
-      args.GetString("log", "warn")));
 
   memgoal::core::SystemConfig config;
-  config.num_nodes = static_cast<uint32_t>(args.GetInt("nodes", 3));
+  config.num_nodes = static_cast<uint32_t>(
+      args.GetInt("nodes", 3, {1, memgoal::core::kMaxNodes}));
   config.cache_bytes_per_node =
-      static_cast<uint64_t>(args.GetInt("cache_bytes", 64 * 4096));
-  config.db_pages = static_cast<uint32_t>(args.GetInt("db_pages", 240));
+      static_cast<uint64_t>(args.GetInt("cache_bytes", 64 * 4096, {0}));
+  // Each of the two classes needs a page of its own.
+  config.db_pages = static_cast<uint32_t>(args.GetInt(
+      "db_pages", 240, {2, std::numeric_limits<uint32_t>::max()}));
   config.observation_interval_ms = args.GetDouble("interval_ms", 1000.0);
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   config.disk.avg_seek_ms = args.GetDouble("disk_seek_ms", 8.0);
@@ -77,7 +78,8 @@ int main(int argc, char** argv) {
         std::make_unique<memgoal::baseline::NoPartitioningController>());
   }
 
-  const int intervals = static_cast<int>(args.GetInt("intervals", 30));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", 30, memgoal::common::kIntCount));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;

@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
   params.reads_per_txn = static_cast<int>(args.GetInt("reads", 3));
   params.writes_per_txn = static_cast<int>(args.GetInt("writes", 1));
   memgoal::txn::UpdateSource updates(&system, &manager, params);
-  const int intervals = static_cast<int>(args.GetInt("intervals", 30));
+  const int intervals = static_cast<int>(
+      args.GetInt("intervals", 30, memgoal::common::kIntCount));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;

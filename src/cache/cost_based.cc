@@ -32,10 +32,6 @@ void CostBasedPolicy::OnErase(PageId page) {
   residents_.Erase(page);
 }
 
-void CostBasedPolicy::Refresh(PageId page) {
-  if (residents_.Contains(page)) residents_.MarkDirty(page);
-}
-
 std::optional<PageId> CostBasedPolicy::ChooseVictim() {
   obs::ProfileScope profile(obs::Phase::kVictimSelect);
   if (residents_.empty()) return std::nullopt;
@@ -47,8 +43,8 @@ std::optional<PageId> CostBasedPolicy::ChooseVictim() {
   }
   // Post-flush revalidation: keys are exact as of the flush, but the flush
   // itself moves entries (a re-keyed page can surface a top whose benefit
-  // the directory changed without a Refresh); confirm the minimum to a
-  // fixed point or the bound, as before.
+  // the directory changed without a touch); confirm the minimum to a fixed
+  // point or the bound.
   for (int i = 0; i < revalidation_limit_; ++i) {
     const auto [page, key] = residents_.Peek();
     const double fresh = benefit_fn_(page);

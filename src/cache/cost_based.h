@@ -36,11 +36,6 @@ class CostBasedPolicy final : public ReplacementPolicy {
   std::optional<PageId> ChooseVictim() override;
   const char* name() const override { return "cost-based"; }
 
-  /// Re-computes the key of a resident page after an external event changed
-  /// its benefit (e.g. its last-copy status flipped). No-op if not
-  /// resident.
-  void Refresh(PageId page);
-
  private:
   BenefitFn benefit_fn_;
   int revalidation_limit_;

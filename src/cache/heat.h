@@ -59,16 +59,6 @@ class HeatTracker {
   /// Number of recorded accesses to `page` (saturates at 2^31).
   int AccessCount(PageId page) const;
 
-  void Forget(PageId page) {
-    // Apply pending records first: accesses logged before the Forget must
-    // land (and then be erased), not resurrect the page at the next flush.
-    Flush();
-    if (const History* h = history_.Find(page)) {
-      free_offsets_.push_back(h->offset);
-      history_.Erase(page);
-    }
-  }
-
   /// Drops the history of every page whose backward-K time is older than
   /// `horizon` and for which `retain` (if given) returns false. Returns the
   /// number of records evicted. Typical use: horizon = now - a few
@@ -115,7 +105,7 @@ class HeatTracker {
   mutable std::vector<PendingAccess> pending_;
   mutable common::FlatHashMap<PageId, History> history_;
   // Timestamp arena: every History owns k_ contiguous slots. Freed runs
-  // (Forget / EvictColderThan) are recycled through free_offsets_.
+  // (EvictColderThan) are recycled through free_offsets_.
   mutable std::vector<sim::SimTime> slab_;
   mutable std::vector<uint32_t> free_offsets_;
 };

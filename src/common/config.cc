@@ -1,6 +1,8 @@
 #include "common/config.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -13,6 +15,40 @@ std::string Trim(const std::string& s) {
   if (begin == std::string::npos) return "";
   size_t end = s.find_last_not_of(" \t\r");
   return s.substr(begin, end - begin + 1);
+}
+
+std::string Describe(const IntRange& range) {
+  constexpr IntRange kAny;
+  if (range.min == kAny.min && range.max == kAny.max) return "an integer";
+  if (range.max == kAny.max) return ">= " + std::to_string(range.min);
+  return "in " + std::to_string(range.min) + ".." + std::to_string(range.max);
+}
+
+std::string Text(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  return buffer;
+}
+
+bool Unbounded(const NumberRange& range) {
+  return std::isinf(range.min) && std::isinf(range.max);
+}
+
+std::string Describe(const NumberRange& range) {
+  if (Unbounded(range)) return "a number";
+  const std::string min = Text(range.min);
+  if (std::isinf(range.max)) {
+    return (range.min_exclusive ? "finite and > " : "finite and >= ") + min;
+  }
+  return (range.min_exclusive ? "in (" : "in [") + min + ", " +
+         Text(range.max) + "]";
+}
+
+bool Contains(const NumberRange& range, double value) {
+  if (Unbounded(range)) return true;
+  return std::isfinite(value) &&
+         (range.min_exclusive ? value > range.min : value >= range.min) &&
+         value <= range.max;
 }
 
 }  // namespace
@@ -95,59 +131,58 @@ std::string Config::GetString(const std::string& key,
   return Lookup(key).value_or(fallback);
 }
 
-std::optional<int64_t> Config::TryGetInt(const std::string& key,
-                                         int64_t fallback) {
-  auto v = Lookup(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const int64_t result = std::strtoll(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') return std::nullopt;
-  return result;
-}
-
-std::optional<double> Config::TryGetDouble(const std::string& key,
-                                           double fallback) {
-  auto v = Lookup(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double result = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') return std::nullopt;
-  return result;
-}
-
-std::optional<bool> Config::TryGetBool(const std::string& key,
-                                       bool fallback) {
-  auto v = Lookup(key);
-  if (!v) return fallback;
-  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
-  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
-  return std::nullopt;
-}
-
-void Config::NoteBadValue(const std::string& key, const char* kind) {
+void Config::NoteBadValue(const std::string& key, const std::string& range,
+                          const std::string& value) {
   if (bad_value_.empty()) {
-    bad_value_ = key + " must be " + kind + ", got " + values_.at(key);
+    bad_value_ = key + " must be " + range + ", got " + value;
   }
 }
 
-int64_t Config::GetInt(const std::string& key, int64_t fallback) {
-  const std::optional<int64_t> value = TryGetInt(key, fallback);
-  if (!value.has_value()) NoteBadValue(key, "an integer");
-  return value.value_or(fallback);
+int64_t Config::GetInt(const std::string& key, int64_t fallback,
+                       IntRange range) {
+  const std::optional<std::string> text = Lookup(key);
+  if (!text) return fallback;
+  char* end = nullptr;
+  const int64_t value = std::strtoll(text->c_str(), &end, 10);
+  if (end == text->c_str() || *end != '\0') {
+    NoteBadValue(key, Describe(range), *text);
+    return fallback;
+  }
+  if (value < range.min || value > range.max) {
+    NoteBadValue(key, Describe(range), std::to_string(value));
+    return fallback;
+  }
+  return value;
 }
 
-double Config::GetDouble(const std::string& key, double fallback) {
-  const std::optional<double> value = TryGetDouble(key, fallback);
-  if (!value.has_value()) NoteBadValue(key, "a number");
-  return value.value_or(fallback);
+double Config::GetDouble(const std::string& key, double fallback,
+                         NumberRange range) {
+  const std::optional<std::string> text = Lookup(key);
+  if (!text) return fallback;
+  char* end = nullptr;
+  const double value = std::strtod(text->c_str(), &end);
+  if (end == text->c_str() || *end != '\0') {
+    NoteBadValue(key, Describe(range), *text);
+    return fallback;
+  }
+  if (!Contains(range, value)) {
+    NoteBadValue(key, Describe(range), Text(value));
+    return fallback;
+  }
+  return value;
 }
 
 bool Config::GetBool(const std::string& key, bool fallback) {
-  const std::optional<bool> value = TryGetBool(key, fallback);
-  if (!value.has_value()) {
-    NoteBadValue(key, "1/0, true/false, yes/no or on/off");
+  const std::optional<std::string> text = Lookup(key);
+  if (!text) return fallback;
+  if (*text == "true" || *text == "1" || *text == "yes" || *text == "on") {
+    return true;
   }
-  return value.value_or(fallback);
+  if (*text == "false" || *text == "0" || *text == "no" || *text == "off") {
+    return false;
+  }
+  NoteBadValue(key, "1/0, true/false, yes/no or on/off", *text);
+  return fallback;
 }
 
 std::vector<std::string> Config::UnusedKeys() const {

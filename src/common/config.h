@@ -2,6 +2,7 @@
 #define MEMGOAL_COMMON_CONFIG_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -9,6 +10,30 @@
 #include <vector>
 
 namespace memgoal::common {
+
+/// Values an integer getter accepts: `min`..`max`, both inclusive. The
+/// default accepts every int64.
+struct IntRange {
+  int64_t min = std::numeric_limits<int64_t>::min();
+  int64_t max = std::numeric_limits<int64_t>::max();
+};
+
+/// A count the caller stores in an int.
+inline constexpr IntRange kIntCount{0, std::numeric_limits<int>::max()};
+
+/// Values a number getter accepts: `min`..`max`, `min` itself excluded
+/// when `min_exclusive`. A bounded range also rejects NaN and the
+/// infinities; the default accepts everything that parses.
+struct NumberRange {
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+  bool min_exclusive = false;
+
+  static constexpr NumberRange AtLeast(double min) { return {min}; }
+  static constexpr NumberRange Above(double min) {
+    return {min, std::numeric_limits<double>::infinity(), true};
+  }
+};
 
 /// Flat key=value configuration store with typed accessors.
 ///
@@ -34,19 +59,20 @@ class Config {
 
   /// Typed getters: return the stored value converted to the requested type,
   /// or `fallback` when the key is absent. A present key that fails to
-  /// convert also yields `fallback`, and the first such value is kept as
-  /// "<key> must be <kind>, got <value>" for RejectUnknownFlags to report.
+  /// convert, or converts to a value outside `range`, also yields
+  /// `fallback`, and the first such value is kept as
+  /// "<key> must be <range>, got <value>" (see bad_value()).
   std::string GetString(const std::string& key, const std::string& fallback);
-  int64_t GetInt(const std::string& key, int64_t fallback);
-  double GetDouble(const std::string& key, double fallback);
+  int64_t GetInt(const std::string& key, int64_t fallback,
+                 IntRange range = {});
+  double GetDouble(const std::string& key, double fallback,
+                   NumberRange range = {});
   bool GetBool(const std::string& key, bool fallback);
 
-  /// The same conversions without the record: `fallback` when the key is
-  /// absent, nullopt when it is present but does not convert. For readers
-  /// that report a bad value themselves (core::LoadScenario).
-  std::optional<int64_t> TryGetInt(const std::string& key, int64_t fallback);
-  std::optional<double> TryGetDouble(const std::string& key, double fallback);
-  std::optional<bool> TryGetBool(const std::string& key, bool fallback);
+  /// The message of the first value a typed getter rejected; empty when
+  /// none was. RejectUnknownFlags reports it first; core::LoadScenario
+  /// fails with it.
+  const std::string& bad_value() const { return bad_value_; }
 
   /// Keys that were set but never read through a getter. Useful to warn
   /// about misspelled overrides.
@@ -65,8 +91,10 @@ class Config {
 
  private:
   std::optional<std::string> Lookup(const std::string& key);
-  /// Records `key`'s value as the first one that is not a `kind`.
-  void NoteBadValue(const std::string& key, const char* kind);
+  /// Records "<key> must be <range>, got <value>" unless a bad value was
+  /// already recorded.
+  void NoteBadValue(const std::string& key, const std::string& range,
+                    const std::string& value);
 
   std::map<std::string, std::string> values_;
   std::map<std::string, bool> used_;
@@ -75,7 +103,7 @@ class Config {
   std::set<std::string> known_;
   /// Keys that arrived as `--flag[=value]` on the command line.
   std::set<std::string> dashed_;
-  /// First value a typed getter could not convert (empty when none).
+  /// First value a typed getter rejected (empty when none).
   std::string bad_value_;
   std::string error_;
 };

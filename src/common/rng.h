@@ -50,13 +50,6 @@ class Rng {
   /// program yields the same children again.
   Rng Fork() { return Rng(engine_()); }
 
-  /// Stateless alternative to `Fork()` for parallel trials: the generator
-  /// for stream `stream_index` of `master_seed`, independent of any other
-  /// stream ever derived (see DeriveStreamSeed).
-  static Rng ForStream(uint64_t master_seed, uint64_t stream_index) {
-    return Rng(DeriveStreamSeed(master_seed, stream_index));
-  }
-
   /// Uniform double in [0, 1).
   double NextDouble() {
     return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "core/variance_optimizer.h"
 #include "net/network.h"
 #include "obs/profiler.h"
@@ -51,26 +50,6 @@ const MeasureStore& GoalOrientedController::measure_store(
 
 NodeId GoalOrientedController::coordinator_node(ClassId klass) const {
   return coordinators_.at(klass).home;
-}
-
-void GoalOrientedController::MigrateCoordinator(ClassId klass,
-                                                NodeId new_home) {
-  MEMGOAL_CHECK(system_ != nullptr);
-  const SystemConfig& config = system_->config();
-  MEMGOAL_CHECK(new_home < config.num_nodes);
-  Coordinator& coordinator = coordinators_.at(klass);
-  if (coordinator.home == new_home) return;
-  // State transfer to the new node plus one notification per agent (class-k
-  // agents and no-goal agents on every node learn the new address).
-  system_->simulator().Spawn(system_->network().Transfer(
-      coordinator.home, new_home, kReportMsgBytes,
-      net::TrafficClass::kPartitionProtocol));
-  for (NodeId i = 0; i < config.num_nodes; ++i) {
-    system_->simulator().Spawn(system_->network().Transfer(
-        new_home, i, kControlMsgBytes,
-        net::TrafficClass::kPartitionProtocol));
-  }
-  coordinator.home = new_home;
 }
 
 void GoalOrientedController::RestartMeasurement(Coordinator* coordinator,
@@ -744,9 +723,6 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
         target[i] = std::max(target[i], allocation[i]);
       }
     }
-    MEMGOAL_LOG_DEBUG("class %u: rt=%.3f goal=%.3f delta=%.3f -> LP mode=%d",
-                      coordinator->klass, *rt_k, goal, delta,
-                      static_cast<int>(mode));
   }
 
   // Damp the step: an optimization may only move each node's budget by a

@@ -111,15 +111,6 @@ class GoalOrientedController final : public Controller {
   /// Node hosting the coordinator of `klass`.
   NodeId coordinator_node(ClassId klass) const;
 
-  /// Migrates the coordinator of `klass` to another node (§5: coordinators
-  /// may be placed separately per class "and even a migration of a
-  /// coordinator from one node to another node is possible, as long as all
-  /// corresponding agents are informed"). Models the notification messages
-  /// to every agent; the coordinator's state (measure points, tolerance
-  /// history) moves with it. Takes effect for all subsequent reports and
-  /// checks.
-  void MigrateCoordinator(ClassId klass, NodeId new_home);
-
   /// After this many consecutive too-slow checks the coordinator abandons
   /// the fitted planes and saturates the class's allocation (see
   /// CoordinatorCheck).

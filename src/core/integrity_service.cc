@@ -19,7 +19,7 @@ void IntegrityService::Start() {
 
 void IntegrityService::HandleCorruption(NodeId node, uint64_t draw) {
   // Everything about the strike is decided here, from the injected draw:
-  // which surface it hits, which page, and whether the flaw is latent. The
+  // frame or disk, which page, and whether the flaw is latent. The
   // access paths make no RNG draws of their own, so enabling corruption at
   // rate zero leaves every other schedule bit-identical.
   const SystemConfig& config = system_->config();
@@ -35,13 +35,10 @@ void IntegrityService::HandleCorruption(NodeId node, uint64_t draw) {
   // already-flawed copy fizzles (MarkFrame/MarkDisk return false).
   const PageId frame_page = static_cast<PageId>(
       common::Mix64(draw ^ 0x9a6eull) % database.num_pages());
-  if (config.corrupt_surface != CorruptionSurface::kDisk &&
-      system_->node(node).node_cache().IsCached(frame_page)) {
+  if (system_->node(node).node_cache().IsCached(frame_page)) {
     map_.MarkFrame(node, frame_page, flaw);
     return;
   }
-  // A frames-only strike on a non-resident page fizzles.
-  if (config.corrupt_surface == CorruptionSurface::kFrames) return;
   const uint32_t homed = database.PagesHomedAt(node);
   if (homed == 0) return;
   const PageId disk_page = static_cast<PageId>(

@@ -61,10 +61,10 @@ class IntegrityService {
   void Start();
 
   /// Corruption instant: maps the injector's opaque draw onto a concrete
-  /// target (cached frame or disk copy at `node`) and a detectability
-  /// outcome. Every decision is made here, from the draw, so the access
-  /// path never consumes RNG. Draws that land on a non-resident frame under
-  /// the frames-only surface, or on an already-flawed copy, fizzle.
+  /// target (`node`'s cached frame when the drawn page is resident there,
+  /// else a disk copy homed at `node`) and a detectability outcome. Every
+  /// decision is made here, from the draw, so the access path never
+  /// consumes RNG. Draws that land on an already-flawed copy fizzle.
   void HandleCorruption(NodeId node, uint64_t draw);
 
   /// Verify-on-read of `node`'s cached frame of `page`: on a local hit, and

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -42,91 +40,19 @@ std::string BadPageRange(const std::string& key, const std::string& value,
          std::to_string(db_pages) + "), got '" + value + "'";
 }
 
-// Reads the numeric and boolean scenario keys, so neither a constructor's
-// MEMGOAL_CHECK nor common::Config's conversion check is ever the first line
-// of validation. A value that does not parse, or parses outside its key's
-// range, is recorded (the first one wins) and replaced by the key's default
-// so the remaining keys can still be read; LoadScenario then fails with
-// "<key> must be <range>, got <value>".
-class NumberReader {
- public:
-  static constexpr int64_t kNoMin = std::numeric_limits<int64_t>::min();
-  static constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
+using common::NumberRange;
 
-  explicit NumberReader(common::Config& config) : config_(config) {}
-
-  int64_t Int(const std::string& key, int64_t fallback, int64_t lo,
-              int64_t hi = kNoMax) {
-    const std::string range =
-        lo == kNoMin && hi == kNoMax ? "an integer"
-        : hi == kNoMax ? ">= " + std::to_string(lo)
-                       : "in " + std::to_string(lo) + ".." + std::to_string(hi);
-    const std::optional<int64_t> value = config_.TryGetInt(key, fallback);
-    if (!value.has_value()) return Reject(key, range, Raw(key), fallback);
-    if (*value >= lo && *value <= hi) return *value;
-    return Reject(key, range, std::to_string(*value), fallback);
-  }
-  /// Any int64 (seeds and salts, reinterpreted as uint64).
-  int64_t AnyInt(const std::string& key, int64_t fallback) {
-    return Int(key, fallback, kNoMin);
-  }
-  double Number(const std::string& key, double fallback) {
-    const std::optional<double> value = config_.TryGetDouble(key, fallback);
-    if (value.has_value()) return *value;
-    return Reject(key, "a number", Raw(key), fallback);
-  }
-  double AtLeast(const std::string& key, double fallback, double lo) {
-    const std::string range = "finite and >= " + Text(lo);
-    const std::optional<double> value = config_.TryGetDouble(key, fallback);
-    if (!value.has_value()) return Reject(key, range, Raw(key), fallback);
-    if (std::isfinite(*value) && *value >= lo) return *value;
-    return Reject(key, range, Text(*value), fallback);
-  }
-  double Above(const std::string& key, double fallback, double lo) {
-    const std::string range = "finite and > " + Text(lo);
-    const std::optional<double> value = config_.TryGetDouble(key, fallback);
-    if (!value.has_value()) return Reject(key, range, Raw(key), fallback);
-    if (std::isfinite(*value) && *value > lo) return *value;
-    return Reject(key, range, Text(*value), fallback);
-  }
-  double Fraction(const std::string& key, double fallback) {
-    const std::optional<double> value = config_.TryGetDouble(key, fallback);
-    if (!value.has_value()) return Reject(key, "in [0, 1]", Raw(key), fallback);
-    if (*value >= 0.0 && *value <= 1.0) return *value;
-    return Reject(key, "in [0, 1]", Text(*value), fallback);
-  }
-  bool Bool(const std::string& key, bool fallback) {
-    const std::optional<bool> value = config_.TryGetBool(key, fallback);
-    if (value.has_value()) return *value;
-    return Reject(key, "1/0, true/false, yes/no or on/off", Raw(key),
-                  fallback);
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  static std::string Text(double value) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%g", value);
-    return buffer;
-  }
-  std::string Raw(const std::string& key) {
-    return config_.GetString(key, "");
-  }
-  template <typename T>
-  T Reject(const std::string& key, const std::string& range,
-           const std::string& value, T fallback) {
-    if (error_.empty()) error_ = key + " must be " + range + ", got " + value;
-    return fallback;
-  }
-
-  common::Config& config_;
-  std::string error_;
-};
-
-// The directory counts each page's cached copies in 16 bits.
-constexpr int64_t kMaxNodes = 65535;
 constexpr int64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+// The page directory and the integrity map, allocated whole when the
+// cluster is built, take about 9 bytes per (page, node) pair and 11 per
+// page: at most 20 bytes a pair (nodes = 1), so this cap keeps them under
+// 2.7 GB. The largest run in the repo, bench_scaling's 256-node grid, uses
+// about 4e7 pairs.
+constexpr uint64_t kMaxPageNodePairs = uint64_t{1} << 27;
+constexpr NumberRange kNonNegative = NumberRange::AtLeast(0.0);
+constexpr NumberRange kPositive = NumberRange::Above(0.0);
+constexpr NumberRange kFraction{0.0, 1.0};
 
 // Parses all of `text` as a decimal unsigned integer: no sign, no
 // whitespace, no trailing characters, no overflow.
@@ -157,21 +83,35 @@ bool ParsePageRange(const std::string& text, PageId db_pages,
 
 std::optional<Scenario> LoadScenario(common::Config& config,
                                      std::string* error) {
+  // Every numeric key is read with its range, so no constructor's
+  // MEMGOAL_CHECK is the first line of validation. A value outside the
+  // range, or one that does not parse, is recorded by `config` (the first
+  // one wins) and the key's default stands in so the remaining keys can
+  // still be read; the load then fails with config.bad_value().
   Scenario scenario;
   SystemConfig& system_config = scenario.system;
-  NumberReader read(config);
   system_config.num_nodes =
-      static_cast<uint32_t>(read.Int("nodes", 3, 1, kMaxNodes));
+      static_cast<uint32_t>(config.GetInt("nodes", 3, {1, kMaxNodes}));
   const int64_t last_node = system_config.num_nodes - 1;
   system_config.cache_bytes_per_node =
-      static_cast<uint64_t>(read.Int("cache_bytes", 2 << 20, 0));
+      static_cast<uint64_t>(config.GetInt("cache_bytes", 2 << 20, {0}));
   system_config.page_bytes =
-      static_cast<uint32_t>(read.Int("page_bytes", 4096, 1, kMaxUint32));
+      static_cast<uint32_t>(config.GetInt("page_bytes", 4096, {1, kMaxUint32}));
   system_config.db_pages =
-      static_cast<uint32_t>(read.Int("db_pages", 2000, 1, kMaxUint32));
+      static_cast<uint32_t>(config.GetInt("db_pages", 2000, {1, kMaxUint32}));
+  if (uint64_t{system_config.db_pages} * system_config.num_nodes >
+      kMaxPageNodePairs) {
+    if (error) {
+      *error = "db_pages * nodes must be <= " +
+               std::to_string(kMaxPageNodePairs) + ", got " +
+               std::to_string(system_config.db_pages) + " * " +
+               std::to_string(system_config.num_nodes);
+    }
+    return std::nullopt;
+  }
   system_config.observation_interval_ms =
-      read.Above("interval_ms", 5000.0, 0.0);
-  system_config.seed = static_cast<uint64_t>(read.AnyInt("seed", 1));
+      config.GetDouble("interval_ms", 5000.0, kPositive);
+  system_config.seed = static_cast<uint64_t>(config.GetInt("seed", 1));
   const std::string policy = config.GetString("policy", "cost-based");
   if (policy == "cost-based") {
     system_config.policy = cache::PolicyKind::kCostBased;
@@ -199,22 +139,26 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     }
     return std::nullopt;
   }
-  system_config.disk.avg_seek_ms = read.AtLeast("disk_seek_ms", 8.0, 0.0);
+  system_config.disk.avg_seek_ms =
+      config.GetDouble("disk_seek_ms", 8.0, kNonNegative);
   system_config.disk.rotation_ms =
-      read.AtLeast("disk_rotation_ms", 8.33, 0.0);
+      config.GetDouble("disk_rotation_ms", 8.33, kNonNegative);
   system_config.disk.transfer_mb_per_s =
-      read.Above("disk_transfer", 10.0, 0.0);
+      config.GetDouble("disk_transfer", 10.0, kPositive);
   system_config.network.bandwidth_mbit_per_s =
-      read.Above("net_mbit", 100.0, 0.0);
+      config.GetDouble("net_mbit", 100.0, kPositive);
   system_config.network.latency_ms =
-      read.AtLeast("net_latency_ms", 0.05, 0.0);
-  system_config.network.loss_probability = read.Fraction("net_loss", 0.0);
+      config.GetDouble("net_latency_ms", 0.05, kNonNegative);
+  system_config.network.loss_probability =
+      config.GetDouble("net_loss", 0.0, kFraction);
   // Conditional keys are still read unconditionally so RejectUnknownFlags
   // in the caller never mistakes a dormant knob for a typo.
-  const double burst_g2b = read.Fraction("net_burst_g2b", 0.0);
-  const double burst_b2g = read.Fraction("net_burst_b2g", 0.5);
-  const double burst_loss_good = read.Fraction("net_burst_loss_good", 0.0);
-  const double burst_loss_bad = read.Fraction("net_burst_loss_bad", 1.0);
+  const double burst_g2b = config.GetDouble("net_burst_g2b", 0.0, kFraction);
+  const double burst_b2g = config.GetDouble("net_burst_b2g", 0.5, kFraction);
+  const double burst_loss_good =
+      config.GetDouble("net_burst_loss_good", 0.0, kFraction);
+  const double burst_loss_bad =
+      config.GetDouble("net_burst_loss_bad", 1.0, kFraction);
   if (config.GetString("net_loss_model", "iid") == "burst") {
     system_config.network.loss_model = net::LossModel::kBurst;
     system_config.network.burst_good_to_bad = burst_g2b;
@@ -223,9 +167,10 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     system_config.network.burst_loss_bad = burst_loss_bad;
   }
 
-  const int64_t crash_node = read.Int("crash_node", -1, -1, last_node);
-  const double crash_at = read.AtLeast("crash_at_ms", 0.0, 0.0);
-  const double recover_at = read.AtLeast("recover_at_ms", 0.0, 0.0);
+  const int64_t crash_node = config.GetInt("crash_node", -1, {-1, last_node});
+  const double crash_at = config.GetDouble("crash_at_ms", 0.0, kNonNegative);
+  const double recover_at =
+      config.GetDouble("recover_at_ms", 0.0, kNonNegative);
   if (crash_node >= 0) {
     system_config.faults.script.push_back(
         {crash_at, static_cast<uint32_t>(crash_node), /*crash=*/true});
@@ -234,16 +179,22 @@ std::optional<Scenario> LoadScenario(common::Config& config,
           {recover_at, static_cast<uint32_t>(crash_node), /*crash=*/false});
     }
   }
-  system_config.faults.mttf_ms = read.AtLeast("fault_mttf_ms", 0.0, 0.0);
-  system_config.faults.mttr_ms = read.Above("fault_mttr_ms", 10000.0, 0.0);
+  system_config.faults.mttf_ms =
+      config.GetDouble("fault_mttf_ms", 0.0, kNonNegative);
+  system_config.faults.mttr_ms =
+      config.GetDouble("fault_mttr_ms", 10000.0, kPositive);
   system_config.faults.seed =
-      static_cast<uint64_t>(read.AnyInt("fault_seed", 0xFA171));
-  system_config.faults.min_live_nodes =
-      static_cast<uint32_t>(read.Int("fault_min_live", 1, 0, kMaxUint32));
-  const int64_t degrade_node = read.Int("degrade_node", -1, -1, last_node);
-  const double degrade_at = read.AtLeast("degrade_at_ms", 0.0, 0.0);
-  const double restore_at = read.AtLeast("restore_at_ms", 0.0, 0.0);
-  const double degrade_factor = read.Above("degrade_factor", 10.0, 1.0);
+      static_cast<uint64_t>(config.GetInt("fault_seed", 0xFA171));
+  system_config.faults.min_live_nodes = static_cast<uint32_t>(
+      config.GetInt("fault_min_live", 1, {0, kMaxUint32}));
+  const int64_t degrade_node =
+      config.GetInt("degrade_node", -1, {-1, last_node});
+  const double degrade_at =
+      config.GetDouble("degrade_at_ms", 0.0, kNonNegative);
+  const double restore_at =
+      config.GetDouble("restore_at_ms", 0.0, kNonNegative);
+  const double degrade_factor =
+      config.GetDouble("degrade_factor", 10.0, NumberRange::Above(1.0));
   if (degrade_node >= 0) {
     system_config.faults.degradation_script.push_back(
         {degrade_at, static_cast<uint32_t>(degrade_node), /*begin=*/true,
@@ -253,15 +204,17 @@ std::optional<Scenario> LoadScenario(common::Config& config,
           {restore_at, static_cast<uint32_t>(degrade_node), /*begin=*/false});
     }
   }
-  system_config.faults.mttd_ms = read.AtLeast("fault_mttd_ms", 0.0, 0.0);
+  system_config.faults.mttd_ms =
+      config.GetDouble("fault_mttd_ms", 0.0, kNonNegative);
   system_config.faults.degradation_repair_ms =
-      read.Above("fault_degrade_repair_ms", 10000.0, 0.0);
+      config.GetDouble("fault_degrade_repair_ms", 10000.0, kPositive);
   system_config.faults.degradation_factor =
-      read.Above("fault_degrade_factor", 10.0, 1.0);
+      config.GetDouble("fault_degrade_factor", 10.0, NumberRange::Above(1.0));
 
   const std::string partition_nodes = config.GetString("partition_nodes", "");
-  const double partition_at = read.AtLeast("partition_at_ms", 0.0, 0.0);
-  const double heal_at = read.AtLeast("heal_at_ms", 0.0, 0.0);
+  const double partition_at =
+      config.GetDouble("partition_at_ms", 0.0, kNonNegative);
+  const double heal_at = config.GetDouble("heal_at_ms", 0.0, kNonNegative);
   if (!partition_nodes.empty()) {
     std::vector<uint32_t> groups(system_config.num_nodes, 0);
     std::stringstream nodes(partition_nodes);
@@ -282,11 +235,12 @@ std::optional<Scenario> LoadScenario(common::Config& config,
       system_config.faults.partition_script.push_back({heal_at, {}});
     }
   }
-  system_config.faults.mttp_ms = read.AtLeast("fault_mttp_ms", 0.0, 0.0);
+  system_config.faults.mttp_ms =
+      config.GetDouble("fault_mttp_ms", 0.0, kNonNegative);
   system_config.faults.partition_heal_ms =
-      read.Above("fault_partition_heal_ms", 10000.0, 0.0);
+      config.GetDouble("fault_partition_heal_ms", 10000.0, kPositive);
   system_config.crash_detect_timeout_ms =
-      read.AtLeast("crash_detect_timeout_ms", 2.0, 0.0);
+      config.GetDouble("crash_detect_timeout_ms", 2.0, kNonNegative);
   if (system_config.faults.mttp_ms > 0.0 && system_config.num_nodes < 3) {
     if (error) *error = "fault_mttp_ms > 0 needs nodes >= 3";
     return std::nullopt;
@@ -295,30 +249,26 @@ std::optional<Scenario> LoadScenario(common::Config& config,
   // Corruption (the fourth fault class) and the background scrubber. All
   // keys are read unconditionally (same idiom as the burst-loss knobs).
   const std::string corrupt = config.GetString("corrupt", "all");
-  const int64_t corrupt_node = read.Int("corrupt_node", -1, -1, last_node);
-  const double corrupt_at = read.AtLeast("corrupt_at_ms", 0.0, 0.0);
-  const int64_t corrupt_count = read.Int("corrupt_count", 1, 1, kMaxUint32);
+  const int64_t corrupt_node =
+      config.GetInt("corrupt_node", -1, {-1, last_node});
+  const double corrupt_at =
+      config.GetDouble("corrupt_at_ms", 0.0, kNonNegative);
+  const int64_t corrupt_count =
+      config.GetInt("corrupt_count", 1, {1, kMaxUint32});
   const uint64_t corrupt_salt =
-      static_cast<uint64_t>(read.AnyInt("corrupt_salt", 1));
-  system_config.faults.mttc_ms = read.AtLeast("fault_mttc_ms", 0.0, 0.0);
-  system_config.corrupt_latent_fraction = read.Fraction("corrupt_latent", 0.0);
+      static_cast<uint64_t>(config.GetInt("corrupt_salt", 1));
+  system_config.faults.mttc_ms =
+      config.GetDouble("fault_mttc_ms", 0.0, kNonNegative);
+  system_config.corrupt_latent_fraction =
+      config.GetDouble("corrupt_latent", 0.0, kFraction);
   const std::string scrub = config.GetString("scrub", "off");
   const double scrub_interval =
-      read.Above("scrub_interval_ms", 1000.0, 0.0);
+      config.GetDouble("scrub_interval_ms", 1000.0, kPositive);
   if (corrupt == "off") {
     // Kill switch: no stochastic stream, no scripted strikes.
     system_config.faults.mttc_ms = 0.0;
-  } else if (corrupt == "disk") {
-    system_config.corrupt_surface = CorruptionSurface::kDisk;
-  } else if (corrupt == "frames") {
-    system_config.corrupt_surface = CorruptionSurface::kFrames;
-  } else if (corrupt == "all") {
-    system_config.corrupt_surface = CorruptionSurface::kAll;
-  } else {
-    if (error) {
-      *error = BadEnumValue("corrupt", corrupt,
-                            {"off", "disk", "frames", "all"});
-    }
+  } else if (corrupt != "all") {
+    if (error) *error = BadEnumValue("corrupt", corrupt, {"off", "all"});
     return std::nullopt;
   }
   if (corrupt_node >= 0 && corrupt != "off") {
@@ -335,10 +285,10 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     return std::nullopt;
   }
 
-  scenario.intervals = static_cast<int>(
-      read.Int("intervals", 40, 0, std::numeric_limits<int>::max()));
-  scenario.audit = read.Bool("audit", false);
-  scenario.chaos_seed = static_cast<uint64_t>(read.AnyInt("chaos_seed", 0));
+  scenario.intervals =
+      static_cast<int>(config.GetInt("intervals", 40, common::kIntCount));
+  scenario.audit = config.GetBool("audit", false);
+  scenario.chaos_seed = static_cast<uint64_t>(config.GetInt("chaos_seed", 0));
   if (scenario.chaos_seed != 0) {
     // Overlay a generated chaos schedule on the scripted faults. The
     // schedule's own goal-churn events are disabled — scenario files define
@@ -359,21 +309,20 @@ std::optional<Scenario> LoadScenario(common::Config& config,
 
   // Every class needs at least one page of its own by default.
   const int num_classes = static_cast<int>(
-      read.Int("classes", 2, 1,
-               std::min<int64_t>(system_config.db_pages,
-                                 std::numeric_limits<int>::max())));
+      config.GetInt("classes", 2,
+                    {1, std::min<int64_t>(system_config.db_pages, kMaxInt)}));
   for (int c = 0; c < num_classes; ++c) {
     const std::string prefix = "class" + std::to_string(c) + "_";
     workload::ClassSpec spec;
     spec.id = static_cast<ClassId>(c);
-    const double goal = read.Number(prefix + "goal_ms", 0.0);
+    const double goal = config.GetDouble(prefix + "goal_ms", 0.0);
     if (c != 0 && goal > 0.0) spec.goal_rt_ms = goal;
     if (c != 0 && goal <= 0.0) {
       // An unparseable goal_ms (read as 0) reports as such.
       if (error) {
-        *error = read.error().empty()
+        *error = config.bad_value().empty()
                      ? prefix + "goal_ms required for goal class"
-                     : read.error();
+                     : config.bad_value();
       }
       return std::nullopt;
     }
@@ -393,15 +342,15 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     }
     spec.pages = range;
     spec.mean_interarrival_ms =
-        read.Above(prefix + "interarrival_ms", 100.0, 0.0);
-    spec.accesses_per_op = static_cast<int>(read.Int(
-        prefix + "accesses", 4, 1, std::numeric_limits<int>::max()));
-    spec.zipf_skew = read.AtLeast(prefix + "skew", 0.0, 0.0);
-    spec.share_prob = read.Fraction(prefix + "share_prob", 0.0);
+        config.GetDouble(prefix + "interarrival_ms", 100.0, kPositive);
+    spec.accesses_per_op =
+        static_cast<int>(config.GetInt(prefix + "accesses", 4, {1, kMaxInt}));
+    spec.zipf_skew = config.GetDouble(prefix + "skew", 0.0, kNonNegative);
+    spec.share_prob = config.GetDouble(prefix + "share_prob", 0.0, kFraction);
     const std::string shared_text =
         config.GetString(prefix + "shared_pages", "");
     const double shared_skew =
-        read.AtLeast(prefix + "shared_skew", spec.zipf_skew, 0.0);
+        config.GetDouble(prefix + "shared_skew", spec.zipf_skew, kNonNegative);
     if (spec.share_prob > 0.0) {
       workload::PageRange shared;
       if (!ParsePageRange(shared_text, system_config.db_pages, &shared)) {
@@ -416,8 +365,8 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     }
     scenario.classes.push_back(spec);
   }
-  if (!read.error().empty()) {
-    if (error) *error = read.error();
+  if (!config.bad_value().empty()) {
+    if (error) *error = config.bad_value();
     return std::nullopt;
   }
   return scenario;

@@ -9,7 +9,6 @@
 #include "cache/cost_based.h"
 #include "cache/lru_k.h"
 #include "common/check.h"
-#include "common/logging.h"
 #include "core/goal_controller.h"
 #include "core/system_audits.h"
 
@@ -321,7 +320,6 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
       target, system_->simulator().Now() - state->started_ms);
   if (!state->delivered) {
     state->delivered = true;
-    state->server = target;
     state->flaw = *flaw;
     if (state->wake != nullptr) state->wake->Set();
   }
@@ -422,7 +420,6 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     }
   }
   state->wake = nullptr;
-  state->abandoned = !state->delivered;
   if (probe != nullptr && max_attempts > 0) {
     probe->Span(obs::BudgetPhase::kFetchWait, state->started_ms,
                 system_->simulator().Now() - state->started_ms);

@@ -85,24 +85,16 @@ enum class InjectedBug {
   kLostPageLeak,
 };
 
-/// Stored copies that injected corruption events may hit.
-enum class CorruptionSurface {
-  /// Permanent disk-resident copies only.
-  kDisk,
-  /// Cached buffer frames only (a draw landing on a page the node does not
-  /// cache fizzles).
-  kFrames,
-  /// Frames when the drawn page is resident at the struck node, disk
-  /// copies homed there otherwise.
-  kAll,
-};
-
 // -- Message sizes (bytes) -------------------------------------------------
 /// Control request, page-message header and heat hint of the home-based
 /// access protocol (the transactional overlay reuses the first two).
 inline constexpr uint32_t kControlMsgBytes = 64;
 inline constexpr uint32_t kPageHeaderBytes = 64;
 inline constexpr uint32_t kHintMsgBytes = 32;
+
+/// Largest cluster: the page directory counts each page's cached copies in
+/// 16 bits.
+inline constexpr uint32_t kMaxNodes = 65535;
 
 /// All tunables of the simulated NOW and of the partitioning algorithm.
 /// Defaults reproduce the paper's base environment (§7.1): 3 nodes at
@@ -136,8 +128,6 @@ struct SystemConfig {
   /// which keeps the access path free of RNG draws (a zero-rate run is
   /// bit-identical to one with the integrity machinery absent).
   double corrupt_latent_fraction = 0.0;
-  /// Which stored copies injected corruption may hit.
-  CorruptionSurface corrupt_surface = CorruptionSurface::kAll;
   /// Per-node background scrubber period (ms); 0 disables scrubbing. Each
   /// tick verifies one disk-resident page — but only when the node's disk
   /// is idle, making the scrubber a strictly lower-priority consumer of
@@ -311,11 +301,6 @@ class Node {
     sim::SimTime started_ms = 0.0;
     /// Some attempt delivered the page.
     bool delivered = false;
-    /// The requester gave up and went to disk; late deliveries only feed
-    /// the health score.
-    bool abandoned = false;
-    /// Node whose copy was delivered first (valid when delivered).
-    NodeId server = 0;
     /// Integrity of the delivered copy (valid when delivered): kLatent
     /// when the serving frame carried a flaw past the checksum (it
     /// propagates into the requester's frame), kDetectable only under the

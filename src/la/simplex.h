@@ -22,20 +22,6 @@ enum class SimplexStatus {
   kIterationLimit,
 };
 
-inline const char* SimplexStatusName(SimplexStatus status) {
-  switch (status) {
-    case SimplexStatus::kOptimal:
-      return "optimal";
-    case SimplexStatus::kInfeasible:
-      return "infeasible";
-    case SimplexStatus::kUnbounded:
-      return "unbounded";
-    case SimplexStatus::kIterationLimit:
-      return "iteration_limit";
-  }
-  return "?";
-}
-
 /// A variable-status basis snapshot of the solver: one entry per
 /// structural variable followed by one per constraint row (that row's slack
 /// variable). Feeding a prior solve's basis back in as a warm start lets a

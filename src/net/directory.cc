@@ -65,25 +65,6 @@ int PageDirectory::CopyCount(PageId page) const {
   return copy_count_[page];
 }
 
-bool PageDirectory::IsLastCopy(NodeId node, PageId page) const {
-  return copy_count_[page] == 1 && IsCachedAt(node, page);
-}
-
-std::optional<NodeId> PageDirectory::FindCopy(PageId page,
-                                              NodeId except) const {
-  CopyList ranked;
-  RankedCopies(page, except, &ranked);
-  if (ranked.empty()) return std::nullopt;
-  return ranked.front();
-}
-
-std::vector<NodeId> PageDirectory::RankedCopies(PageId page,
-                                                NodeId except) const {
-  CopyList ranked;
-  RankedCopies(page, except, &ranked);
-  return std::vector<NodeId>(ranked.begin(), ranked.end());
-}
-
 void PageDirectory::RankedCopies(PageId page, NodeId except,
                                  CopyList* out) const {
   out->clear();

@@ -20,9 +20,10 @@ namespace memgoal::net {
 /// maintained by control/hint messages; the simulation keeps it in one exact
 /// structure while the message *traffic* for maintaining it is generated and
 /// accounted by the cache layer (see DESIGN.md substitution table). The
-/// paper's cost-based replacement consumes three queries from here: is a
-/// local copy the last cached copy in the system (§6), where can a remote
-/// copy be fetched from, and what is the global heat of a page.
+/// paper's cost-based replacement consumes three queries from here: how
+/// many cached copies a page has (is a local copy the last one, §6), where
+/// can a remote copy be fetched from, and what is the global heat of a
+/// page.
 class PageDirectory {
  public:
   explicit PageDirectory(const storage::Database* database);
@@ -45,29 +46,19 @@ class PageDirectory {
   bool IsCachedAt(NodeId node, PageId page) const;
   int CopyCount(PageId page) const;
 
-  /// True if `node` holds the only cached copy of `page` in the system.
-  bool IsLastCopy(NodeId node, PageId page) const;
-
-  /// A node other than `except` that caches `page`, if any. The best-ranked
-  /// copy holder: lowest health cost first, ties broken by the classic scan
-  /// order (the page's home node — no forward hop needed — then
-  /// deterministically from the home). With all costs equal this is exactly
-  /// the historic home-first scan.
-  std::optional<NodeId> FindCopy(PageId page, NodeId except) const;
-
   /// Copy-holder list sized for the common replication degree; spills to
   /// the heap only on unusually wide replication.
   using CopyList = common::InlineVector<NodeId, 8>;
 
-  /// All nodes other than `except` that cache `page`, best first, same
-  /// ranking as FindCopy. The fetch path hedges down this list. While a
-  /// partition is active (see SetReachability), holders unreachable *from*
-  /// `except` — the requester in every call site — are excluded: the
-  /// requester could not complete a fetch protocol with them anyway.
-  std::vector<NodeId> RankedCopies(PageId page, NodeId except) const;
-
-  /// Allocation-free variant for the per-access fetch path: appends the
-  /// ranked holders to `out` (cleared first).
+  /// Writes to `out` (cleared first) every node other than `except` that
+  /// caches `page`, best first: lowest health cost first, ties broken by
+  /// the classic scan order (the page's home node — no forward hop needed —
+  /// then deterministically from the home). With all costs equal this is
+  /// exactly the historic home-first scan. The fetch path hedges down this
+  /// list. While a partition is active (see SetReachability), holders
+  /// unreachable *from* `except` — the requester in every call site — are
+  /// excluded: the requester could not complete a fetch protocol with them
+  /// anyway.
   void RankedCopies(PageId page, NodeId except, CopyList* out) const;
 
   // -- Partition awareness -------------------------------------------------

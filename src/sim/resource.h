@@ -101,10 +101,9 @@ class Resource {
   /// the simulated NOW).
   double BusyQuantile(double q) const { return busy_hist_.Quantile(q); }
 
-  /// Direct histogram views, so an external metrics registry can export
+  /// Direct histogram view, so an external metrics registry can export
   /// quantiles together with their saturation/overflow state.
   const common::Histogram& wait_histogram() const { return wait_hist_; }
-  const common::Histogram& busy_histogram() const { return busy_hist_; }
 
  private:
   struct Waiter {

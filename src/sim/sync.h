@@ -4,7 +4,6 @@
 #include <coroutine>
 #include <cstddef>
 
-#include "common/check.h"
 #include "common/inline_vector.h"
 #include "sim/frame_pool.h"
 #include "sim/simulator.h"
@@ -63,52 +62,6 @@ class Event {
  private:
   Simulator* simulator_;
   bool set_ = false;
-  common::InlineVector<std::coroutine_handle<>, 2> waiters_;
-};
-
-/// Fork/join counter: Add() before spawning child processes, Done() when
-/// each finishes, Wait() suspends until the count returns to zero. The
-/// count may rise and fall repeatedly; waiters wake whenever it *reaches*
-/// zero.
-class WaitGroup {
- public:
-  explicit WaitGroup(Simulator* simulator) : simulator_(simulator) {}
-  WaitGroup(const WaitGroup&) = delete;
-  WaitGroup& operator=(const WaitGroup&) = delete;
-
-  void Add(int n = 1) {
-    MEMGOAL_CHECK(n >= 0);
-    count_ += n;
-  }
-
-  void Done() {
-    MEMGOAL_CHECK(count_ > 0);
-    if (--count_ == 0) {
-      for (std::coroutine_handle<> handle : waiters_) {
-        simulator_->ScheduleResume(0.0, handle);
-      }
-      waiters_.clear();
-    }
-  }
-
-  /// Awaitable: completes when the count is (or becomes) zero.
-  auto Wait() {
-    struct Awaiter {
-      WaitGroup* group;
-      bool await_ready() const noexcept { return group->count_ == 0; }
-      void await_suspend(std::coroutine_handle<> handle) {
-        group->waiters_.push_back(handle);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
-  }
-
-  int count() const { return count_; }
-
- private:
-  Simulator* simulator_;
-  int count_ = 0;
   common::InlineVector<std::coroutine_handle<>, 2> waiters_;
 };
 

@@ -49,15 +49,6 @@ TEST(HeatTrackerTest, FrequentAccessesAreHotter) {
   EXPECT_GT(tracker.HeatOf(1, 101.0), tracker.HeatOf(2, 101.0));
 }
 
-TEST(HeatTrackerTest, HistorySurvivesForget) {
-  HeatTracker tracker(2);
-  tracker.RecordAccess(1, 10.0);
-  EXPECT_EQ(tracker.tracked_pages(), 1u);
-  tracker.Forget(1);
-  EXPECT_EQ(tracker.tracked_pages(), 0u);
-  EXPECT_DOUBLE_EQ(tracker.HeatOf(1, 20.0), 0.0);
-}
-
 TEST(HeatTrackerTest, BackwardKTimeBeforeKAccesses) {
   HeatTracker tracker(3);
   tracker.RecordAccess(1, 50.0);

@@ -141,19 +141,5 @@ TEST(CostBasedPolicyTest, LazyRevalidationSeesFreshBenefits) {
   EXPECT_EQ(policy.ChooseVictim(), std::optional<PageId>(3));
 }
 
-TEST(CostBasedPolicyTest, RefreshUpdatesKey) {
-  std::map<PageId, double> benefit = {{1, 5.0}, {2, 6.0}};
-  CostBasedPolicy policy([&](PageId p) { return benefit.at(p); });
-  policy.OnInsert(1);
-  policy.OnInsert(2);
-  benefit[1] = 10.0;
-  benefit[2] = 0.5;
-  policy.Refresh(1);
-  policy.Refresh(2);
-  EXPECT_EQ(policy.ChooseVictim(), std::optional<PageId>(2));
-  // Refresh of a non-resident page is a no-op.
-  policy.Refresh(99);
-}
-
 }  // namespace
 }  // namespace memgoal::cache

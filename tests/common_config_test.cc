@@ -177,6 +177,54 @@ TEST(ConfigTest, EachGetterNamesItsKind) {
   }
 }
 
+// The message a ranged getter records for the argument `arg` (a value of
+// key "k"), after checking that the getter returned its fallback.
+std::string IntRangeError(const char* arg, IntRange range) {
+  const char* argv[] = {"prog", arg};
+  Config config;
+  EXPECT_TRUE(config.ParseArgs(2, argv));
+  EXPECT_EQ(config.GetInt("k", 5, range), 5) << arg;
+  return config.bad_value();
+}
+
+std::string NumberRangeError(const char* arg, NumberRange range) {
+  const char* argv[] = {"prog", arg};
+  Config config;
+  EXPECT_TRUE(config.ParseArgs(2, argv));
+  EXPECT_DOUBLE_EQ(config.GetDouble("k", 5.0, range), 5.0) << arg;
+  return config.bad_value();
+}
+
+TEST(ConfigTest, ValueOutsideTheRangeYieldsFallbackAndNamesTheRange) {
+  // Recorded like a value that does not convert, which names the range too.
+  EXPECT_EQ(IntRangeError("k=-1", {0}), "k must be >= 0, got -1");
+  EXPECT_EQ(IntRangeError("k=33", {1, 32}), "k must be in 1..32, got 33");
+  EXPECT_EQ(IntRangeError("k=x", {1, 32}), "k must be in 1..32, got x");
+  EXPECT_EQ(NumberRangeError("k=-2.5", NumberRange::AtLeast(0.0)),
+            "k must be finite and >= 0, got -2.5");
+  EXPECT_EQ(NumberRangeError("k=0", NumberRange::Above(0.0)),
+            "k must be finite and > 0, got 0");
+  EXPECT_EQ(NumberRangeError("k=inf", NumberRange::Above(0.0)),
+            "k must be finite and > 0, got inf");
+  EXPECT_EQ(NumberRangeError("k=nan", {0.0, 1.0}),
+            "k must be in [0, 1], got nan");
+
+  // The edges load; the first bad value wins and fails the flag check.
+  const char* argv[] = {"prog", "a=0", "b=32", "c=1", "d=-7", "e=-8"};
+  Config config;
+  ASSERT_TRUE(config.ParseArgs(6, argv));
+  EXPECT_EQ(config.GetInt("a", 5, {0}), 0);
+  EXPECT_EQ(config.GetInt("b", 5, {1, 32}), 32);
+  EXPECT_DOUBLE_EQ(config.GetDouble("c", 5.0, {0.0, 1.0}), 1.0);
+  EXPECT_DOUBLE_EQ(config.GetDouble("a", 5.0, NumberRange::AtLeast(0.0)),
+                   0.0);
+  EXPECT_EQ(config.bad_value(), "");
+  config.GetInt("d", 0, {0});
+  config.GetInt("e", 0, {0});
+  EXPECT_FALSE(config.RejectUnknownFlags());
+  EXPECT_EQ(config.error(), "d must be >= 0, got -7");
+}
+
 TEST(ConfigTest, RejectUnknownFlagsOmitsFarFetchedSuggestions) {
   const char* argv[] = {"prog", "--zzzzzz=1"};
   Config config;

@@ -52,9 +52,9 @@ TEST(RngStreamTest, AuxiliaryStreamBandsDoNotCollide) {
 
 TEST(RngStreamTest, StreamsAreDecorrelated) {
   // Neighbouring pairs must not share a draw prefix.
-  const auto base = FirstDraws(Rng::ForStream(1, 0), 16);
-  EXPECT_NE(base, FirstDraws(Rng::ForStream(1, 1), 16));
-  EXPECT_NE(base, FirstDraws(Rng::ForStream(2, 0), 16));
+  const auto base = FirstDraws(Rng(DeriveStreamSeed(1, 0)), 16);
+  EXPECT_NE(base, FirstDraws(Rng(DeriveStreamSeed(1, 1)), 16));
+  EXPECT_NE(base, FirstDraws(Rng(DeriveStreamSeed(2, 0)), 16));
   EXPECT_NE(base, FirstDraws(Rng(1), 16));  // and not the master itself
 }
 
@@ -62,11 +62,11 @@ TEST(RngStreamTest, DerivationIsOrderIndependent) {
   // Stream 5 of seed 9 is the same generator whether it is derived cold or
   // after many other streams — DeriveStreamSeed is a pure function, with no
   // hidden parent state advancing between calls.
-  const auto cold = FirstDraws(Rng::ForStream(9, 5), 16);
+  const auto cold = FirstDraws(Rng(DeriveStreamSeed(9, 5)), 16);
   for (uint64_t stream = 0; stream < 5; ++stream) {
-    (void)Rng::ForStream(9, stream).NextUint64();
+    (void)Rng(DeriveStreamSeed(9, stream)).NextUint64();
   }
-  EXPECT_EQ(cold, FirstDraws(Rng::ForStream(9, 5), 16));
+  EXPECT_EQ(cold, FirstDraws(Rng(DeriveStreamSeed(9, 5)), 16));
 
   // Fork(), by contrast, is order-dependent: the second fork of the same
   // parent differs from the first. This is the trap the trial harness's

@@ -1,8 +1,11 @@
 // Drives the integrity service's ledger one transition at a time on a
 // 3-node cluster whose workload never starts: pages are cached by spawning
-// Node::AccessPage on the simulator, strikes are aimed with the corruption
-// surface, and each verify, quarantine, repair or loss is checked against
-// the ledger, the buffer pools and the directory.
+// Node::AccessPage on the simulator, strikes are aimed by residency (a
+// strike hits the struck node's frame when it caches the drawn page, its
+// disk otherwise, so a node caching all 30 pages takes frame strikes and
+// one caching none takes disk strikes), and each verify, quarantine, repair
+// or loss is checked against the ledger, the buffer pools and the
+// directory.
 
 #include "core/integrity_service.h"
 
@@ -18,11 +21,10 @@ namespace {
 
 constexpr uint32_t kPages = 30;  // 10 homed at each node
 
-SystemConfig IntegrityConfig(CorruptionSurface surface, double latent) {
+SystemConfig IntegrityConfig(double latent) {
   SystemConfig config;
   config.num_nodes = 3;
   config.db_pages = kPages;
-  config.corrupt_surface = surface;
   config.corrupt_latent_fraction = latent;
   return config;
 }
@@ -92,7 +94,7 @@ class Cluster {
 };
 
 TEST(IntegrityServiceTest, DetectableFrameIsQuarantined) {
-  Cluster cluster(IntegrityConfig(CorruptionSurface::kFrames, 0.0));
+  Cluster cluster(IntegrityConfig(0.0));
   for (PageId page = 0; page < kPages; ++page) cluster.Access(0, page);
   const PageId page = cluster.Strike(0, /*frames=*/true);
   EXPECT_EQ(cluster.integrity().map().FrameFlaw(0, page),
@@ -113,7 +115,7 @@ TEST(IntegrityServiceTest, DetectableFrameIsQuarantined) {
 }
 
 TEST(IntegrityServiceTest, LatentFrameIsServedAndCounted) {
-  Cluster cluster(IntegrityConfig(CorruptionSurface::kFrames, 1.0));
+  Cluster cluster(IntegrityConfig(1.0));
   for (PageId page = 0; page < kPages; ++page) cluster.Access(0, page);
   const PageId page = cluster.Strike(0, /*frames=*/true);
 
@@ -127,7 +129,7 @@ TEST(IntegrityServiceTest, LatentFrameIsServedAndCounted) {
 }
 
 TEST(IntegrityServiceTest, DiskCopyIsRepairedFromReplicaElseLost) {
-  Cluster cluster(IntegrityConfig(CorruptionSurface::kDisk, 0.0));
+  Cluster cluster(IntegrityConfig(0.0));
   // Node 1 caches every page homed at node 0; nothing caches node 2's.
   for (PageId page = 0; page < kPages; page += 3) cluster.Access(1, page);
 
@@ -155,7 +157,7 @@ TEST(IntegrityServiceTest, DiskCopyIsRepairedFromReplicaElseLost) {
 }
 
 TEST(IntegrityServiceTest, ServeQuarantinedBugKeepsTheFrame) {
-  SystemConfig config = IntegrityConfig(CorruptionSurface::kFrames, 0.0);
+  SystemConfig config = IntegrityConfig(0.0);
   config.injected_bug = InjectedBug::kServeQuarantined;
   Cluster cluster(config);
   for (PageId page = 0; page < kPages; ++page) cluster.Access(0, page);

@@ -52,48 +52,6 @@ int SatisfiedInTail(const ClusterSystem& system, int tail) {
   return satisfied;
 }
 
-TEST(RobustnessTest, CoordinatorMigrationKeepsControlling) {
-  ClusterSystem system(TestConfig(31));
-  system.AddClass(GoalClass(3.5));
-  system.AddClass(NoGoalClass());
-  system.Start();
-  system.RunIntervals(10);
-  auto& controller =
-      dynamic_cast<GoalOrientedController&>(system.controller());
-  ASSERT_EQ(controller.coordinator_node(1), 0u);
-
-  const uint64_t protocol_before =
-      system.network().messages_sent(net::TrafficClass::kPartitionProtocol);
-  controller.MigrateCoordinator(1, 2);
-  EXPECT_EQ(controller.coordinator_node(1), 2u);
-  system.RunIntervals(15);
-
-  // Migration sent notification traffic...
-  EXPECT_GT(
-      system.network().messages_sent(net::TrafficClass::kPartitionProtocol),
-      protocol_before + 3);
-  // ...and the loop keeps functioning from the new home: measure points
-  // keep flowing and the goal is still worked towards.
-  EXPECT_TRUE(controller.measure_store(1).ready());
-  EXPECT_GE(SatisfiedInTail(system, 10), 3);
-}
-
-TEST(RobustnessTest, MigrationToSameNodeIsNoOp) {
-  ClusterSystem system(TestConfig(32));
-  system.AddClass(GoalClass(3.5));
-  system.AddClass(NoGoalClass());
-  system.Start();
-  system.RunIntervals(1);
-  auto& controller =
-      dynamic_cast<GoalOrientedController&>(system.controller());
-  const uint64_t before =
-      system.network().messages_sent(net::TrafficClass::kPartitionProtocol);
-  controller.MigrateCoordinator(1, controller.coordinator_node(1));
-  EXPECT_EQ(
-      system.network().messages_sent(net::TrafficClass::kPartitionProtocol),
-      before);
-}
-
 TEST(RobustnessTest, FeedbackSurvivesProtocolMessageLoss) {
   // 20% of reports/commands/acks/hints vanish; the feedback design must
   // still converge to the goal (stale views are repaired by later rounds).

@@ -94,14 +94,17 @@ TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
   // Each of these once aborted the process in a constructor's
   // MEMGOAL_CHECK or in common::Config's conversion check (the values that
   // are not numbers at all), hung it (interval_ms=0 ends every interval at
-  // time 0), or wrapped to a huge unsigned value (cache_bytes=-5,
-  // fault_min_live=-1).
+  // time 0), wrapped to a huge unsigned value (cache_bytes=-5,
+  // fault_min_live=-1), or ran out of memory building the page directory
+  // (db_pages=4000000000).
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"interval_ms=0\n", "interval_ms must be finite and > 0, got 0"},
       {"interval_ms=-5\n", "interval_ms must be finite and > 0, got -5"},
       {"nodes=0\n", "nodes must be in 1..65535, got 0"},
       {"page_bytes=0\n", "page_bytes must be in 1..4294967295, got 0"},
       {"db_pages=0\n", "db_pages must be in 1..4294967295, got 0"},
+      {"db_pages=4000000000\n",
+       "db_pages * nodes must be <= 134217728, got 4000000000 * 3"},
       {"crash_node=7\n", "crash_node must be in -1..2, got 7"},
       {"corrupt_node=9\n", "corrupt_node must be in -1..2, got 9"},
       {"degrade_node=1\ndegrade_factor=1\n",
@@ -173,11 +176,16 @@ TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
 
 TEST(ScenarioTest, CorruptNearMissGetsSuggestion) {
   std::string error;
-  EXPECT_FALSE(Load("corrupt=frmaes\n", &error).has_value());
-  EXPECT_NE(error.find("corrupt must be off, disk, frames or all"),
-            std::string::npos)
+  EXPECT_FALSE(Load("corrupt=al\n", &error).has_value());
+  EXPECT_NE(error.find("corrupt must be off or all"), std::string::npos)
       << error;
-  EXPECT_NE(error.find("did you mean frames?"), std::string::npos) << error;
+  EXPECT_NE(error.find("did you mean all?"), std::string::npos) << error;
+  // There is no frames-only or disk-only surface: strikes aim by residency.
+  for (const char* surface : {"corrupt=frames\n", "corrupt=disk\n"}) {
+    EXPECT_FALSE(Load(surface, &error).has_value()) << surface;
+    EXPECT_NE(error.find("corrupt must be off or all"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(ScenarioTest, ScrubNearMissGetsSuggestion) {
@@ -199,7 +207,7 @@ TEST(ScenarioTest, CorruptionKeysPopulateConfig) {
   std::string error;
   const std::optional<Scenario> scenario = Load(
       "class1_goal_ms=5\n"
-      "corrupt=disk\n"
+      "corrupt=all\n"
       "fault_mttc_ms=40000\n"
       "corrupt_latent=0.25\n"
       "corrupt_node=2\n"
@@ -211,7 +219,6 @@ TEST(ScenarioTest, CorruptionKeysPopulateConfig) {
       &error);
   ASSERT_TRUE(scenario.has_value()) << error;
   const SystemConfig& system = scenario->system;
-  EXPECT_EQ(system.corrupt_surface, CorruptionSurface::kDisk);
   EXPECT_DOUBLE_EQ(system.faults.mttc_ms, 40000.0);
   EXPECT_DOUBLE_EQ(system.corrupt_latent_fraction, 0.25);
   EXPECT_DOUBLE_EQ(system.scrub_interval_ms, 800.0);

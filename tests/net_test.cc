@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/directory.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -243,6 +245,13 @@ TEST(NetworkTest, StorageBusBypassesPartition) {
 class DirectoryTest : public ::testing::Test {
  protected:
   DirectoryTest() : db_(30, 4096, 3), directory_(&db_) {}
+
+  std::vector<NodeId> Ranked(PageId page, NodeId except) const {
+    PageDirectory::CopyList out;
+    directory_.RankedCopies(page, except, &out);
+    return std::vector<NodeId>(out.begin(), out.end());
+  }
+
   storage::Database db_;
   PageDirectory directory_;
 };
@@ -253,37 +262,37 @@ TEST_F(DirectoryTest, CopyTrackingIdempotent) {
   directory_.OnPageCached(1, 5);  // idempotent
   EXPECT_EQ(directory_.CopyCount(5), 1);
   EXPECT_TRUE(directory_.IsCachedAt(1, 5));
-  EXPECT_TRUE(directory_.IsLastCopy(1, 5));
   directory_.OnPageCached(2, 5);
   EXPECT_EQ(directory_.CopyCount(5), 2);
-  EXPECT_FALSE(directory_.IsLastCopy(1, 5));
   directory_.OnPageDropped(1, 5);
   directory_.OnPageDropped(1, 5);  // idempotent
   EXPECT_EQ(directory_.CopyCount(5), 1);
-  EXPECT_TRUE(directory_.IsLastCopy(2, 5));
+  EXPECT_FALSE(directory_.IsCachedAt(1, 5));
 }
 
-TEST_F(DirectoryTest, FindCopyPrefersHome) {
-  // Page 7's home is node 1 (7 % 3).
+TEST_F(DirectoryTest, RankedCopiesPutsHomeFirstWhenCostsEqual) {
+  // Page 7's home is node 1 (7 % 3); with equal costs the ranking must be
+  // exactly the historic home-first scan order.
   directory_.OnPageCached(0, 7);
   directory_.OnPageCached(1, 7);
-  auto copy = directory_.FindCopy(7, /*except=*/2);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(*copy, 1u);
-}
-
-TEST_F(DirectoryTest, FindCopyExcludesRequester) {
   directory_.OnPageCached(2, 7);
-  auto copy = directory_.FindCopy(7, /*except=*/2);
-  EXPECT_FALSE(copy.has_value());
-  directory_.OnPageCached(0, 7);
-  copy = directory_.FindCopy(7, /*except=*/2);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(*copy, 0u);
+  EXPECT_EQ(Ranked(7, /*except=*/2), (std::vector<NodeId>{1, 0}));
+  EXPECT_EQ(Ranked(7, /*except=*/0), (std::vector<NodeId>{1, 2}));
 }
 
-TEST_F(DirectoryTest, FindCopyNoneWhenUncached) {
-  EXPECT_FALSE(directory_.FindCopy(3, 0).has_value());
+TEST_F(DirectoryTest, RankedCopiesExcludesRequester) {
+  directory_.OnPageCached(2, 7);
+  EXPECT_TRUE(Ranked(7, /*except=*/2).empty());
+  directory_.OnPageCached(0, 7);
+  EXPECT_EQ(Ranked(7, /*except=*/2), (std::vector<NodeId>{0}));
+}
+
+TEST_F(DirectoryTest, RankedCopiesEmptyWhenUncached) {
+  // The list is cleared first, so a reused one never keeps stale holders.
+  PageDirectory::CopyList out;
+  out.push_back(1);
+  directory_.RankedCopies(3, /*except=*/0, &out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST_F(DirectoryTest, GlobalHeatAggregatesReports) {
@@ -295,35 +304,18 @@ TEST_F(DirectoryTest, GlobalHeatAggregatesReports) {
   EXPECT_DOUBLE_EQ(directory_.GlobalHeat(4), 0.35);
 }
 
-TEST_F(DirectoryTest, RankedCopiesPreservesScanOrderWhenCostsEqual) {
-  // Page 7's home is node 1 (7 % 3); with equal costs the ranking must be
-  // exactly the historic home-first scan order.
-  directory_.OnPageCached(0, 7);
-  directory_.OnPageCached(1, 7);
-  directory_.OnPageCached(2, 7);
-  EXPECT_EQ(directory_.RankedCopies(7, /*except=*/2),
-            (std::vector<NodeId>{1, 0}));
-  EXPECT_EQ(directory_.RankedCopies(7, /*except=*/0),
-            (std::vector<NodeId>{1, 2}));
-}
-
 TEST_F(DirectoryTest, RankedCopiesOrdersByNodeCost) {
   directory_.OnPageCached(0, 7);
   directory_.OnPageCached(1, 7);
   // The home node turns expensive (e.g. its fetch-latency EWMA spiked): a
-  // cheaper replica outranks it, and FindCopy follows the ranking.
+  // cheaper replica outranks it.
   directory_.SetNodeCost(1, 5.0);
   directory_.SetNodeCost(0, 1.0);
   EXPECT_DOUBLE_EQ(directory_.NodeCost(1), 5.0);
-  EXPECT_EQ(directory_.RankedCopies(7, /*except=*/2),
-            (std::vector<NodeId>{0, 1}));
-  auto copy = directory_.FindCopy(7, /*except=*/2);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(*copy, 0u);
+  EXPECT_EQ(Ranked(7, /*except=*/2), (std::vector<NodeId>{0, 1}));
   // Costs converging back restores the home-first preference.
   directory_.SetNodeCost(1, 1.0);
-  EXPECT_EQ(directory_.RankedCopies(7, /*except=*/2),
-            (std::vector<NodeId>{1, 0}));
+  EXPECT_EQ(Ranked(7, /*except=*/2), (std::vector<NodeId>{1, 0}));
 }
 
 TEST_F(DirectoryTest, RankedCopiesFiltersUnreachableHoldersDuringPartition) {
@@ -336,20 +328,16 @@ TEST_F(DirectoryTest, RankedCopiesFiltersUnreachableHoldersDuringPartition) {
   });
 
   // Oracle installed but no partition active: full ranking.
-  EXPECT_EQ(directory_.RankedCopies(7, /*except=*/2),
-            (std::vector<NodeId>{1, 0}));
+  EXPECT_EQ(Ranked(7, /*except=*/2), (std::vector<NodeId>{1, 0}));
 
   // Partition active: the cut-off requester sees no copies across the
   // boundary, and requesters on the majority side do not see node 2.
   directory_.SetPartitionActive(true);
-  EXPECT_TRUE(directory_.RankedCopies(7, /*except=*/2).empty());
-  EXPECT_FALSE(directory_.FindCopy(7, /*except=*/2).has_value());
-  EXPECT_EQ(directory_.RankedCopies(7, /*except=*/0),
-            (std::vector<NodeId>{1}));
+  EXPECT_TRUE(Ranked(7, /*except=*/2).empty());
+  EXPECT_EQ(Ranked(7, /*except=*/0), (std::vector<NodeId>{1}));
 
   directory_.SetPartitionActive(false);
-  EXPECT_EQ(directory_.RankedCopies(7, /*except=*/2),
-            (std::vector<NodeId>{1, 0}));
+  EXPECT_EQ(Ranked(7, /*except=*/2), (std::vector<NodeId>{1, 0}));
 }
 
 TEST_F(DirectoryTest, AuditInternalConsistencyDetectsTampering) {

@@ -58,56 +58,5 @@ TEST(EventTest, SetIsIdempotent) {
   EXPECT_TRUE(event.is_set());
 }
 
-Task<void> Worker(Simulator* simulator, WaitGroup* group, SimTime work_ms) {
-  co_await simulator->Delay(work_ms);
-  group->Done();
-}
-
-Task<void> Join(Simulator* simulator, WaitGroup* group, double* joined_at) {
-  co_await group->Wait();
-  *joined_at = simulator->Now();
-}
-
-TEST(WaitGroupTest, JoinWaitsForSlowestWorker) {
-  Simulator simulator;
-  WaitGroup group(&simulator);
-  group.Add(3);
-  simulator.Spawn(Worker(&simulator, &group, 10.0));
-  simulator.Spawn(Worker(&simulator, &group, 30.0));
-  simulator.Spawn(Worker(&simulator, &group, 20.0));
-  double joined_at = -1.0;
-  simulator.Spawn(Join(&simulator, &group, &joined_at));
-  simulator.Run();
-  EXPECT_DOUBLE_EQ(joined_at, 30.0);
-  EXPECT_EQ(group.count(), 0);
-}
-
-TEST(WaitGroupTest, WaitOnZeroIsImmediate) {
-  Simulator simulator;
-  WaitGroup group(&simulator);
-  double joined_at = -1.0;
-  simulator.Spawn(Join(&simulator, &group, &joined_at));
-  EXPECT_DOUBLE_EQ(joined_at, 0.0);
-}
-
-TEST(WaitGroupTest, ReusableAcrossRounds) {
-  Simulator simulator;
-  WaitGroup group(&simulator);
-  group.Add(1);
-  simulator.Spawn(Worker(&simulator, &group, 5.0));
-  double first = -1.0;
-  simulator.Spawn(Join(&simulator, &group, &first));
-  simulator.Run();
-  EXPECT_DOUBLE_EQ(first, 5.0);
-
-  group.Add(2);
-  simulator.Spawn(Worker(&simulator, &group, 7.0));
-  simulator.Spawn(Worker(&simulator, &group, 3.0));
-  double second = -1.0;
-  simulator.Spawn(Join(&simulator, &group, &second));
-  simulator.Run();
-  EXPECT_DOUBLE_EQ(second, 12.0);  // 5 + 7
-}
-
 }  // namespace
 }  // namespace memgoal::sim

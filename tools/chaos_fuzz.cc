@@ -14,11 +14,11 @@
 //              --expect-violation                # deterministic re-run
 //
 // Flags (all optional):
-//   --seeds (50)            number of generated schedules to run
+//   --seeds (50)            number of generated schedules to run (>= 1)
 //   --seed-base (1)         first seed; schedule i uses seed-base + i
-//   --nodes (4)             cluster size for generated schedules
-//   --horizon-ms (150000)   schedule horizon
-//   --max-episodes (4)      per-kind episode cap of the generator
+//   --nodes (4)             cluster size for generated schedules (3..32)
+//   --horizon-ms (150000)   schedule horizon (> 0)
+//   --max-episodes (4)      per-kind episode cap of the generator (>= 1)
 //   --goal-ms (5.0)         class-1 response-time goal (churn scales it)
 //   --corrupt (0)           compose corruption episodes into generated
 //                           schedules and run the background scrubber (pass
@@ -152,13 +152,16 @@ bool ReadFileText(const std::string& path, std::string* out) {
 }
 
 int Run(memgoal::common::Config& config) {
-  const int seeds = static_cast<int>(config.GetInt("seeds", 50));
+  const int seeds = static_cast<int>(
+      config.GetInt("seeds", 50, {1, memgoal::common::kIntCount.max}));
   const uint64_t seed_base =
       static_cast<uint64_t>(config.GetInt("seed_base", 1));
   chaos::GenerateLimits limits;
-  limits.num_nodes = static_cast<uint32_t>(config.GetInt("nodes", 4));
-  limits.horizon_ms = config.GetDouble("horizon_ms", 150000.0);
-  limits.max_episodes = static_cast<int>(config.GetInt("max_episodes", 4));
+  limits.num_nodes = static_cast<uint32_t>(config.GetInt("nodes", 4, {3, 32}));
+  limits.horizon_ms = config.GetDouble(
+      "horizon_ms", 150000.0, memgoal::common::NumberRange::Above(0.0));
+  limits.max_episodes = static_cast<int>(config.GetInt(
+      "max_episodes", 4, {1, memgoal::common::kIntCount.max}));
   limits.goal_classes = {1};
   const bool corrupt = config.GetBool("corrupt", false);
   if (corrupt) limits.max_corrupt_episodes = limits.max_episodes;

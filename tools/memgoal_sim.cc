@@ -30,8 +30,11 @@
 //                                      from the rest between the two times
 //   fault_mttp_ms (0), fault_partition_heal_ms (10000)
 //                                    — stochastic whole-cluster partitions
-//   corrupt (all | off | disk | frames)
-//                                    — corruption surface / kill switch
+//   corrupt (all | off)              — kill switch of the corruption
+//                                      fault class; a strike hits the
+//                                      struck node's frame when the drawn
+//                                      page is resident there, its disk
+//                                      otherwise
 //   fault_mttc_ms (0)                — stochastic per-node bit rot
 //   corrupt_node (-1), corrupt_at_ms (0), corrupt_count (1),
 //   corrupt_salt (1)                 — scripted corruption episode
@@ -87,7 +90,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/logging.h"
 #include "core/goal_controller.h"
 #include "core/scenario.h"
 #include "core/system.h"
