@@ -10,56 +10,47 @@
 //   phase 4 (intervals 60-79): the goal relaxes; memory flows back to the
 //                              no-goal class.
 //
-// Usage: dynamic_goals [key=value ...]   (seed=1)
+// The cluster is tools/scenarios/base.conf with a phase-1 goal of 7 ms,
+// run for the four phases' 80 intervals.
+//
+// Usage: dynamic_goals [key=value ...]   (any scenario key, as memgoal_sim;
+//                                         intervals stays 80)
 
 #include <cstdio>
+#include <optional>
 
 #include "common/config.h"
+#include "core/scenario.h"
 #include "core/system.h"
+#include "example_scenario.h"
 
 namespace {
 
-using memgoal::ClassId;
 using memgoal::kNoGoalClass;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  memgoal::common::Config args;
-  if (!args.ParseArgs(argc, argv)) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
+  memgoal::common::Config config;
+  const std::optional<memgoal::core::Scenario> scenario =
+      memgoal::examples::LoadExampleScenario(
+          config, argc, argv,
+          {.file = "base.conf",
+           .deviations = "class1_goal_ms = 7\nintervals = 80\n"});
+  if (!scenario || !memgoal::examples::RejectUnknownFlags(config)) return 1;
+  // The phase script and the summary below read records 0-79.
+  if (scenario->intervals != 80) {
+    std::fprintf(stderr,
+                 "error: intervals must be 80 (the phase script covers "
+                 "intervals 0-79), got %d\n",
+                 scenario->intervals);
     return 1;
   }
 
-  memgoal::core::SystemConfig config;
-  config.num_nodes = 3;
-  config.cache_bytes_per_node = 2ull << 20;
-  config.db_pages = 2000;
-  config.disk.avg_seek_ms = 4.0;
-  config.disk.rotation_ms = 6.0;
-  config.disk.transfer_mb_per_s = 20.0;
-  config.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  if (!args.RejectUnknownFlags()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
+  memgoal::core::ClusterSystem system(scenario->system);
+  for (const memgoal::workload::ClassSpec& spec : scenario->classes) {
+    system.AddClass(spec);
   }
-
-  memgoal::core::ClusterSystem system(config);
-
-  memgoal::workload::ClassSpec goal_class;
-  goal_class.id = 1;
-  goal_class.goal_rt_ms = 7.0;  // phase-1 goal
-  goal_class.accesses_per_op = 4;
-  goal_class.mean_interarrival_ms = 40.0;
-  goal_class.pages = {0, 1000};
-  system.AddClass(goal_class);
-
-  memgoal::workload::ClassSpec background;
-  background.id = kNoGoalClass;
-  background.accesses_per_op = 4;
-  background.mean_interarrival_ms = 40.0;
-  background.pages = {1000, 2000};
-  system.AddClass(background);
 
   std::printf(
       "interval  phase                     rt_goal   goal  dedicated_KB  "
@@ -92,7 +83,7 @@ int main(int argc, char** argv) {
         }
       });
   system.Start();
-  system.RunIntervals(80);
+  system.RunIntervals(scenario->intervals);
 
   // Summarize how each phase ended (mean of its last 5 intervals).
   const auto& records = system.metrics().records();
@@ -113,5 +104,6 @@ int main(int argc, char** argv) {
   tail_mean(20, 40);
   tail_mean(40, 60);
   tail_mean(60, 80);
+  memgoal::examples::WarnUnusedKeys(config);
   return 0;
 }

@@ -4,14 +4,19 @@
 // nodes; agents everywhere) handles N > 3 and several concurrent
 // feedback loops, and reports the protocol overhead at this scale.
 //
-// Usage: now_scaling [key=value ...]   (nodes=6 intervals=40 seed=1)
+// The cluster is tools/scenarios/now_scaling.conf.
+//
+// Usage: now_scaling [key=value ...]   (any scenario key, as memgoal_sim)
 
 #include <cstdio>
+#include <optional>
 
 #include "common/config.h"
 #include "common/stats.h"
 #include "core/goal_controller.h"
+#include "core/scenario.h"
 #include "core/system.h"
+#include "example_scenario.h"
 #include "net/network.h"
 
 namespace {
@@ -23,63 +28,25 @@ using memgoal::NodeId;
 }  // namespace
 
 int main(int argc, char** argv) {
-  memgoal::common::Config args;
-  if (!args.ParseArgs(argc, argv)) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
+  memgoal::common::Config config;
+  const std::optional<memgoal::core::Scenario> scenario =
+      memgoal::examples::LoadExampleScenario(
+          config, argc, argv,
+          {.file = "now_scaling.conf", .classes = 3, .min_intervals = 1});
+  if (!scenario || !memgoal::examples::RejectUnknownFlags(config)) return 1;
+
+  memgoal::core::ClusterSystem system(scenario->system);
+  for (const memgoal::workload::ClassSpec& spec : scenario->classes) {
+    system.AddClass(spec);
   }
-  const auto nodes = static_cast<uint32_t>(
-      args.GetInt("nodes", 6, {1, memgoal::core::kMaxNodes}));
-  const int intervals = static_cast<int>(
-      args.GetInt("intervals", 40, memgoal::common::kIntCount));
-
-  memgoal::core::SystemConfig config;
-  config.num_nodes = nodes;
-  config.cache_bytes_per_node = 2ull << 20;
-  config.db_pages = 3000;
-  config.disk.avg_seek_ms = 4.0;
-  config.disk.rotation_ms = 6.0;
-  config.disk.transfer_mb_per_s = 20.0;
-  config.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-
-  memgoal::core::ClusterSystem system(config);
-
-  memgoal::workload::ClassSpec k1;  // interactive: tight goal
-  k1.id = 1;
-  k1.goal_rt_ms = args.GetDouble("goal1_ms", 3.0);
-  k1.accesses_per_op = 4;
-  k1.mean_interarrival_ms = 40.0;
-  k1.pages = {0, 1000};
-  k1.zipf_skew = 0.3;
-  system.AddClass(k1);
-
-  memgoal::workload::ClassSpec k2;  // reporting: looser goal
-  k2.id = 2;
-  k2.goal_rt_ms = args.GetDouble("goal2_ms", 10.0);
-  k2.accesses_per_op = 8;
-  k2.mean_interarrival_ms = 80.0;
-  k2.pages = {1000, 2000};
-  system.AddClass(k2);
-
-  memgoal::workload::ClassSpec background;
-  background.id = kNoGoalClass;
-  background.accesses_per_op = 4;
-  background.mean_interarrival_ms = 40.0;
-  background.pages = {2000, 3000};
-  system.AddClass(background);
-  if (!args.RejectUnknownFlags()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
-
   system.Start();
-  system.RunIntervals(intervals);
+  system.RunIntervals(scenario->intervals);
 
   const auto& controller =
       dynamic_cast<memgoal::core::GoalOrientedController&>(
           system.controller());
   std::printf("nodes=%u, coordinators: class1@node%u class2@node%u\n\n",
-              nodes, controller.coordinator_node(1),
+              system.num_nodes(), controller.coordinator_node(1),
               controller.coordinator_node(2));
 
   std::printf("%-8s %10s %8s %12s %10s\n", "class", "rt_ms", "goal",
@@ -100,12 +67,12 @@ int main(int argc, char** argv) {
                     : system.spec(klass).goal_rt_ms.value_or(0.0),
                 static_cast<unsigned long long>(
                     system.TotalDedicatedBytes(klass) / 1024),
-                counted > 0 ? static_cast<double>(satisfied) / counted : 0.0);
+                static_cast<double>(satisfied) / counted);
   }
 
   // Per-node dedicated layout: the LP places memory where it pays off.
   std::printf("\nper-node dedicated KB (class1/class2):\n");
-  for (NodeId i = 0; i < nodes; ++i) {
+  for (NodeId i = 0; i < system.num_nodes(); ++i) {
     std::printf("  node%u: %llu / %llu\n", i,
                 static_cast<unsigned long long>(
                     system.DedicatedBytes(1, i) / 1024),
@@ -113,12 +80,17 @@ int main(int argc, char** argv) {
                     system.DedicatedBytes(2, i) / 1024));
   }
 
+  // A single node sends nothing over the network.
   const auto& network = system.network();
+  const double total_bytes = static_cast<double>(network.total_bytes_sent());
   std::printf("\npartitioning-protocol traffic: %.4f%% of %.1f MB total\n",
-              100.0 *
-                  static_cast<double>(network.bytes_sent(
-                      memgoal::net::TrafficClass::kPartitionProtocol)) /
-                  static_cast<double>(network.total_bytes_sent()),
-              static_cast<double>(network.total_bytes_sent()) / 1e6);
+              total_bytes > 0.0
+                  ? 100.0 *
+                        static_cast<double>(network.bytes_sent(
+                            memgoal::net::TrafficClass::kPartitionProtocol)) /
+                        total_bytes
+                  : 0.0,
+              total_bytes / 1e6);
+  memgoal::examples::WarnUnusedKeys(config);
   return 0;
 }

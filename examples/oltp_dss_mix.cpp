@@ -6,19 +6,23 @@
 // buffer it needs to hold its response-time SLA, while the DSS class keeps
 // the rest.
 //
-// The example runs the same workload twice — unmanaged, then managed — and
-// compares the OLTP response times.
+// The workload is tools/scenarios/oltp_dss.conf: OLTP is class 1 (short
+// transactions on a hot working set, with the goal class1_goal_ms), DSS is
+// the no-goal class 0 (long, almost uniform scans). The example runs it
+// twice — unmanaged, then managed — and compares the OLTP response times.
 //
-// Usage: oltp_dss_mix [key=value ...]   (intervals=40 goal_ms=... seed=1)
+// Usage: oltp_dss_mix [key=value ...]   (any scenario key, as memgoal_sim)
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "baseline/static_controllers.h"
 #include "common/config.h"
 #include "common/stats.h"
-#include "core/goal_controller.h"
+#include "core/scenario.h"
 #include "core/system.h"
+#include "example_scenario.h"
 
 namespace {
 
@@ -27,41 +31,6 @@ using memgoal::kNoGoalClass;
 
 constexpr ClassId kOltp = 1;
 
-memgoal::core::SystemConfig MakeConfig(uint64_t seed) {
-  memgoal::core::SystemConfig config;
-  config.num_nodes = 3;
-  config.cache_bytes_per_node = 2ull << 20;
-  config.db_pages = 2400;
-  config.disk.avg_seek_ms = 4.0;
-  config.disk.rotation_ms = 6.0;
-  config.disk.transfer_mb_per_s = 20.0;
-  config.seed = seed;
-  return config;
-}
-
-void AddWorkload(memgoal::core::ClusterSystem& system, double goal_ms) {
-  // OLTP: short transactions (2 page accesses), brisk arrival rate, a
-  // 1000-page working set with a hot head (Zipf 0.6).
-  memgoal::workload::ClassSpec oltp;
-  oltp.id = kOltp;
-  oltp.goal_rt_ms = goal_ms;
-  oltp.accesses_per_op = 2;
-  oltp.mean_interarrival_ms = 30.0;
-  oltp.pages = {0, 1000};
-  oltp.zipf_skew = 0.6;
-  system.AddClass(oltp);
-
-  // DSS: long queries (24 page accesses each) sweeping a 1400-page range
-  // almost uniformly, arriving in the background without a goal.
-  memgoal::workload::ClassSpec dss;
-  dss.id = kNoGoalClass;
-  dss.accesses_per_op = 24;
-  dss.mean_interarrival_ms = 400.0;
-  dss.pages = {1000, 2400};
-  dss.zipf_skew = 0.1;
-  system.AddClass(dss);
-}
-
 struct RunResult {
   double oltp_rt_ms = 0.0;
   double dss_rt_ms = 0.0;
@@ -69,16 +38,19 @@ struct RunResult {
   uint64_t dedicated_bytes = 0;
 };
 
-RunResult Run(bool managed, int intervals, double goal_ms, uint64_t seed) {
-  memgoal::core::ClusterSystem system(MakeConfig(seed));
-  AddWorkload(system, goal_ms);
+RunResult Run(const memgoal::core::Scenario& scenario, bool managed) {
+  memgoal::core::ClusterSystem system(scenario.system);
+  for (const memgoal::workload::ClassSpec& spec : scenario.classes) {
+    system.AddClass(spec);
+  }
   if (!managed) {
     system.SetController(
         std::make_unique<memgoal::baseline::NoPartitioningController>());
   }
   system.Start();
-  system.RunIntervals(intervals);
+  system.RunIntervals(scenario.intervals);
 
+  const double goal_ms = scenario.classes[kOltp].goal_rt_ms.value();
   RunResult result;
   memgoal::common::RunningStats oltp_rt, dss_rt;
   int satisfied = 0, counted = 0;
@@ -87,15 +59,14 @@ RunResult Run(bool managed, int intervals, double goal_ms, uint64_t seed) {
     const auto& oltp_row = records[i].ForClass(kOltp);
     oltp_rt.Add(oltp_row.observed_rt_ms);
     dss_rt.Add(records[i].ForClass(kNoGoalClass).observed_rt_ms);
-    // Judge both runs against the *real* goal (the unmanaged run carries an
-    // inert goal internally), with a flat 10% band.
+    // Judge both runs against the goal (the unmanaged run's controller
+    // ignores it), with a flat 10% band.
     satisfied += oltp_row.observed_rt_ms <= goal_ms * 1.10 ? 1 : 0;
     ++counted;
   }
   result.oltp_rt_ms = oltp_rt.mean();
   result.dss_rt_ms = dss_rt.mean();
-  result.satisfied_frac =
-      counted > 0 ? static_cast<double>(satisfied) / counted : 0.0;
+  result.satisfied_frac = static_cast<double>(satisfied) / counted;
   result.dedicated_bytes = system.TotalDedicatedBytes(kOltp);
   return result;
 }
@@ -103,33 +74,15 @@ RunResult Run(bool managed, int intervals, double goal_ms, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  memgoal::common::Config args;
-  if (!args.ParseArgs(argc, argv)) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
-  // The goal derives from the unmanaged run's response time, which needs
-  // at least one interval.
-  const int intervals = static_cast<int>(args.GetInt(
-      "intervals", 40, {1, memgoal::common::kIntCount.max}));
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  // 0 (the default) derives the goal from the unmanaged run below.
-  const double goal_flag = args.GetDouble("goal_ms", 0.0);
-  if (!args.RejectUnknownFlags()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  memgoal::common::Config config;
+  const std::optional<memgoal::core::Scenario> scenario =
+      memgoal::examples::LoadExampleScenario(
+          config, argc, argv, {.file = "oltp_dss.conf", .min_intervals = 1});
+  if (!scenario || !memgoal::examples::RejectUnknownFlags(config)) return 1;
 
-  // First measure the unmanaged OLTP response time, then demand a goal 40%
-  // below it — the managed run has to carve out a dedicated buffer to hold
-  // it. The unmanaged run is repeated with the derived goal only so its
-  // satisfaction column is judged against the same bar (the inert
-  // controller ignores goals, so the dynamics are identical).
-  const RunResult baseline = Run(false, intervals, /*goal_ms=*/1e9, seed);
-  const double goal_ms =
-      goal_flag > 0.0 ? goal_flag : 0.6 * baseline.oltp_rt_ms;
-  const RunResult unmanaged = Run(false, intervals, goal_ms, seed);
-  const RunResult managed = Run(true, intervals, goal_ms, seed);
+  const double goal_ms = scenario->classes[kOltp].goal_rt_ms.value();
+  const RunResult unmanaged = Run(*scenario, /*managed=*/false);
+  const RunResult managed = Run(*scenario, /*managed=*/true);
 
   std::printf("OLTP goal: %.3f ms\n\n", goal_ms);
   std::printf("%-22s %12s %12s\n", "", "unmanaged", "goal-managed");
@@ -148,5 +101,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf("\nOLTP goal missed; inspect parameters.\n");
   }
+  memgoal::examples::WarnUnusedKeys(config);
   return 0;
 }

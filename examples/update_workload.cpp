@@ -2,77 +2,56 @@
 // action. A stream of update transactions (strict 2PL with wait-die, WAL
 // group commit, 2PC for remotely-homed pages, commit-time invalidation)
 // runs against the goal class's pages while the goal-oriented partitioning
-// defends the read workload's response-time goal.
+// defends the read workload's response-time goal. The cluster is
+// tools/scenarios/base.conf with a 6 ms goal, run for 30 intervals.
 //
-// Usage: update_workload [key=value ...]
-//   (intervals=30 goal_ms=6 txn_interarrival_ms=150 writes=1 reads=3)
+// Usage: update_workload [key=value ...]   (any scenario key, as
+//   memgoal_sim, plus the update stream's txn_interarrival_ms=150 reads=3
+//   writes=1)
 
 #include <cstdio>
+#include <optional>
 
 #include "common/config.h"
-#include "core/goal_controller.h"
+#include "core/scenario.h"
 #include "core/system.h"
-#include "net/network.h"
+#include "example_scenario.h"
 #include "txn/transaction.h"
 #include "txn/update_source.h"
 
-namespace {
-
-using memgoal::ClassId;
-using memgoal::kNoGoalClass;
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  memgoal::common::Config args;
-  if (!args.ParseArgs(argc, argv)) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
-
-  memgoal::core::SystemConfig config;
-  config.num_nodes = 3;
-  config.cache_bytes_per_node = 2ull << 20;
-  config.db_pages = 2000;
-  config.disk.avg_seek_ms = 4.0;
-  config.disk.rotation_ms = 6.0;
-  config.disk.transfer_mb_per_s = 20.0;
-  config.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-
-  memgoal::core::ClusterSystem system(config);
-
-  memgoal::workload::ClassSpec goal_class;
-  goal_class.id = 1;
-  goal_class.goal_rt_ms = args.GetDouble("goal_ms", 6.0);
-  goal_class.accesses_per_op = 4;
-  goal_class.mean_interarrival_ms = 40.0;
-  goal_class.pages = {0, 1000};
-  system.AddClass(goal_class);
-
-  memgoal::workload::ClassSpec background;
-  background.id = kNoGoalClass;
-  background.accesses_per_op = 4;
-  background.mean_interarrival_ms = 40.0;
-  background.pages = {1000, 2000};
-  system.AddClass(background);
-
-  memgoal::txn::TransactionManager manager(&system);
+  memgoal::common::Config config;
+  const std::optional<memgoal::core::Scenario> scenario =
+      memgoal::examples::LoadExampleScenario(
+          config, argc, argv,
+          {.file = "base.conf",
+           .deviations = "class1_goal_ms = 6\nintervals = 30\n",
+           .min_intervals = 1});
+  if (!scenario) return 1;
   memgoal::txn::UpdateSource::Params params;
   params.klass = 1;
-  params.mean_interarrival_ms = args.GetDouble("txn_interarrival_ms", 150.0);
-  params.reads_per_txn = static_cast<int>(args.GetInt("reads", 3));
-  params.writes_per_txn = static_cast<int>(args.GetInt("writes", 1));
-  memgoal::txn::UpdateSource updates(&system, &manager, params);
-  const int intervals = static_cast<int>(
-      args.GetInt("intervals", 30, memgoal::common::kIntCount));
-  if (!args.RejectUnknownFlags()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
+  params.mean_interarrival_ms = config.GetDouble(
+      "txn_interarrival_ms", 150.0, memgoal::common::NumberRange::Above(0.0));
+  params.reads_per_txn = static_cast<int>(
+      config.GetInt("reads", 3, memgoal::common::kIntCount));
+  params.writes_per_txn = static_cast<int>(
+      config.GetInt("writes", 1, memgoal::common::kIntCount));
+  if (!memgoal::examples::RejectUnknownFlags(config)) return 1;
+  if (params.reads_per_txn + params.writes_per_txn == 0) {
+    std::fprintf(stderr, "error: reads + writes must be >= 1, got 0\n");
     return 1;
   }
+
+  memgoal::core::ClusterSystem system(scenario->system);
+  for (const memgoal::workload::ClassSpec& spec : scenario->classes) {
+    system.AddClass(spec);
+  }
+  memgoal::txn::TransactionManager manager(&system);
+  memgoal::txn::UpdateSource updates(&system, &manager, params);
 
   system.Start();
   updates.Start();
-  system.RunIntervals(intervals);
+  system.RunIntervals(scenario->intervals);
 
   const auto& records = system.metrics().records();
   double rt_sum = 0.0;
@@ -87,7 +66,7 @@ int main(int argc, char** argv) {
   const auto& txn_stats = manager.stats();
   std::printf("read workload:  goal=%.2f ms, observed=%.3f ms, satisfied "
               "%.0f%% of intervals, dedicated=%llu KB\n",
-              goal_class.goal_rt_ms.value(), rt_sum / counted,
+              system.spec(1).goal_rt_ms.value(), rt_sum / counted,
               100.0 * satisfied / counted,
               static_cast<unsigned long long>(
                   system.TotalDedicatedBytes(1) / 1024));
@@ -107,5 +86,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   manager.lock_manager().stats().waits),
               static_cast<unsigned long long>(manager.wal(0).forces()));
+  memgoal::examples::WarnUnusedKeys(config);
   return 0;
 }

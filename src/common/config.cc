@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 namespace memgoal::common {
@@ -111,6 +112,17 @@ bool Config::ParseText(const std::string& text) {
     Set(Trim(line.substr(0, eq)), Trim(line.substr(eq + 1)));
   }
   return true;
+}
+
+bool Config::ParseFile(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) {
+    error_ = "cannot open " + path;
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return ParseText(buffer.str());
 }
 
 void Config::Set(const std::string& key, const std::string& value) {

@@ -55,6 +55,11 @@ class Config {
   /// blank lines are ignored.
   bool ParseText(const std::string& text);
 
+  /// Parses the file at `path` as ParseText does. Returns false (and
+  /// records an error message) when it cannot be read or a line is
+  /// malformed.
+  bool ParseFile(const std::string& path);
+
   void Set(const std::string& key, const std::string& value);
 
   /// Typed getters: return the stored value converted to the requested type,

@@ -315,16 +315,20 @@ std::optional<Scenario> LoadScenario(common::Config& config,
     const std::string prefix = "class" + std::to_string(c) + "_";
     workload::ClassSpec spec;
     spec.id = static_cast<ClassId>(c);
-    const double goal = config.GetDouble(prefix + "goal_ms", 0.0);
-    if (c != 0 && goal > 0.0) spec.goal_rt_ms = goal;
-    if (c != 0 && goal <= 0.0) {
-      // An unparseable goal_ms (read as 0) reports as such.
-      if (error) {
-        *error = config.bad_value().empty()
-                     ? prefix + "goal_ms required for goal class"
-                     : config.bad_value();
+    // Class 0 has no goal, so its goal_ms is left unread: a value given
+    // to it draws the caller's unused-key warning.
+    if (c != 0) {
+      const double goal = config.GetDouble(prefix + "goal_ms", 0.0, kPositive);
+      if (goal == 0.0) {
+        // A goal outside the range (read as 0) reports as such.
+        if (error) {
+          *error = config.bad_value().empty()
+                       ? prefix + "goal_ms required for goal class"
+                       : config.bad_value();
+        }
+        return std::nullopt;
       }
-      return std::nullopt;
+      spec.goal_rt_ms = goal;
     }
     const PageId slice =
         system_config.db_pages / static_cast<PageId>(num_classes);

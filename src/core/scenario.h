@@ -13,11 +13,12 @@ namespace memgoal::core {
 
 /// A fully resolved scenario: everything needed to construct and run a
 /// ClusterSystem, decoupled from where the key=value text came from (a
-/// .conf file, argv overrides, or a test-supplied string). The CLI runner
-/// and the differential test harness both build runs through this struct,
-/// so a scenario file exercises the exact model configuration in both.
+/// .conf file, argv overrides, or a test-supplied string). memgoal_sim,
+/// the examples and the test harnesses all build runs through this struct,
+/// so a scenario file exercises the exact model configuration in each.
 struct Scenario {
   SystemConfig system;
+  /// In id order: classes[c] is class c, the no-goal class 0 first.
   std::vector<workload::ClassSpec> classes;
   int intervals = 40;
   bool audit = false;
@@ -28,8 +29,9 @@ struct Scenario {
 };
 
 /// Builds a Scenario from parsed key=value config. Reads every model key
-/// (listed in tools/memgoal_sim.cc's header comment), so a caller may
-/// follow up with Config::RejectUnknownFlags. Observability output paths
+/// (listed in tools/memgoal_sim.cc's header comment, the keys memgoal_sim
+/// and the examples take), so a caller may follow up with
+/// Config::RejectUnknownFlags. Observability output paths
 /// (trace_out, decision_log, ...) are CLI concerns and are not read here.
 /// Returns std::nullopt and sets *error on invalid input.
 std::optional<Scenario> LoadScenario(common::Config& config,

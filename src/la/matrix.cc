@@ -11,14 +11,6 @@ double Dot(const Vector& a, const Vector& b) {
   return sum;
 }
 
-double Norm2(const Vector& v) { return std::sqrt(Dot(v, v)); }
-
-double NormInf(const Vector& v) {
-  double result = 0.0;
-  for (double x : v) result = std::max(result, std::fabs(x));
-  return result;
-}
-
 void Axpy(double alpha, const Vector& x, Vector* y) {
   MEMGOAL_CHECK(x.size() == y->size());
   for (size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
@@ -35,13 +27,6 @@ Vector Matrix::Row(size_t i) const {
   Vector row(cols_);
   for (size_t j = 0; j < cols_; ++j) row[j] = (*this)(i, j);
   return row;
-}
-
-Vector Matrix::Col(size_t j) const {
-  MEMGOAL_CHECK(j < cols_);
-  Vector col(rows_);
-  for (size_t i = 0; i < rows_; ++i) col[i] = (*this)(i, j);
-  return col;
 }
 
 void Matrix::SetRow(size_t i, const Vector& row) {

@@ -14,12 +14,6 @@ using Vector = std::vector<double>;
 /// Dot product of equal-length vectors.
 double Dot(const Vector& a, const Vector& b);
 
-/// Euclidean norm.
-double Norm2(const Vector& v);
-
-/// Infinity norm (max absolute element); 0 for empty vectors.
-double NormInf(const Vector& v);
-
 /// y += alpha * x.
 void Axpy(double alpha, const Vector& x, Vector* y);
 
@@ -66,8 +60,6 @@ class Matrix {
 
   /// Copies row i into a vector.
   Vector Row(size_t i) const;
-  /// Copies column j into a vector.
-  Vector Col(size_t j) const;
   /// Overwrites row i.
   void SetRow(size_t i, const Vector& row);
 

@@ -4,15 +4,6 @@
 
 namespace memgoal::storage {
 
-const char* FlawName(Flaw flaw) {
-  switch (flaw) {
-    case Flaw::kNone: return "none";
-    case Flaw::kDetectable: return "detectable";
-    case Flaw::kLatent: return "latent";
-  }
-  return "unknown";
-}
-
 IntegrityMap::IntegrityMap(uint32_t num_pages, uint32_t num_nodes)
     : num_pages_(num_pages), num_nodes_(num_nodes),
       disk_(num_pages, 0),

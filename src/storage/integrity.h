@@ -21,8 +21,6 @@ enum class Flaw : uint8_t {
   kLatent = 2,
 };
 
-const char* FlawName(Flaw flaw);
-
 /// Tracks which stored copies of each page are corrupt: one slot per
 /// permanent disk copy and one per (node, page) cached frame. Pure
 /// bookkeeping — no RNG, no simulated time — so the access-path cost of

@@ -7,9 +7,10 @@
 //
 // The ScenarioGolden table extends the same idea across commits: every
 // scenario file under tools/scenarios/ and a set of chaos-fuzz schedules
-// reduce to a pinned digest of their metrics CSV, decision log and event
-// count, so a refactor of the simulation core must keep clock advancement,
-// RNG draw order and controller decisions bit-identical.
+// reduce to pinned digests of their metrics CSV, decision log and
+// attainment exports plus their exact event count, so a refactor of the
+// simulation core must keep clock advancement, RNG draw order and
+// controller decisions bit-identical.
 
 #include <bit>
 #include <cstdint>
@@ -268,24 +269,20 @@ std::optional<ScenarioRun> RunScenarioText(
   return RunScenario(*scenario, attainment, tracer, log_decisions);
 }
 
-// FNV-1a over the metrics CSV, the decision-log JSONL, the attainment
-// JSONL and CSV, then the event count's eight little-endian bytes. An
-// untracked run's empty attainment exports mix in nothing.
-uint64_t Digest(const ScenarioRun& run) {
+// FNV-1a over `text`'s bytes. Each artifact of a run is pinned by its own
+// digest, so a change that means to move one (the decision log, say) can
+// re-pin that one and show the others did not move.
+uint64_t Fnv1a(const std::string& text) {
   uint64_t hash = 0xCBF29CE484222325ull;
-  const auto mix = [&hash](unsigned char byte) {
-    hash ^= byte;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001B3ull;
-  };
-  for (const std::string* text : {&run.metrics_csv, &run.decision_jsonl,
-                                  &run.attainment_jsonl, &run.attainment_csv}) {
-    for (const char c : *text) mix(static_cast<unsigned char>(c));
-  }
-  for (int byte = 0; byte < 8; ++byte) {
-    mix(static_cast<unsigned char>(run.events >> (8 * byte)));
   }
   return hash;
 }
+
+// The digest of no bytes: an untracked run's attainment exports.
+constexpr uint64_t kNoBytes = 0xCBF29CE484222325ull;
 
 std::string ScenarioFile(const std::string& name) {
   const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
@@ -341,17 +338,23 @@ TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
   // the scripted corruption strike), chaos-fuzz schedules, the repro-file
   // round trip, burst loss under the auditor (the densest same-timestamp
   // collisions), active corruption with the scrubber, and a tracked run's
-  // attainment exports. Each digest covers clock advancement, RNG draw
-  // order and every controller decision, so any change in simulated
-  // behaviour moves it. The pins were taken while the calendar queue and a
+  // attainment exports. Each row pins four artifacts apart: the metrics
+  // CSV, the decision-log JSONL and the attainment JSONL+CSV by FNV-1a
+  // digest, and the event count exactly. Together they cover clock
+  // advancement, RNG draw order and every controller decision, so any
+  // change in simulated behaviour moves at least one, and a failure names
+  // the one that moved. The pins were taken while the calendar queue and a
   // binary heap still agreed byte for byte on every row. Like
   // EventOrderGolden they are specific to the tier-1 toolchain (x86-64,
   // GCC 12.2, glibc 2.36): the doubles they hash pass through libm.
-  // Re-pin only for an intended behaviour change, from the observed value
-  // printed on failure.
+  // Re-pin only the artifact an intended change moves, from the observed
+  // value printed on failure.
   struct Golden {
     std::string name;
-    uint64_t digest;
+    uint64_t metrics;
+    uint64_t decisions;
+    uint64_t attainment;
+    uint64_t events;
     std::function<std::optional<ScenarioRun>()> run;
   };
   const auto file = [](const std::string& name, int intervals) {
@@ -378,32 +381,57 @@ TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
                 "chaos_seed=" + std::to_string(seed) + "\n");
   };
   const std::vector<Golden> goldens = {
-      {"base.conf", 0x864c52393178c9c2ull, file("base.conf", 6)},
-      {"corrupt.conf", 0xea00d5f50537acabull, file("corrupt.conf", 14)},
-      {"faults.conf", 0xcd5a53b1f05807edull, file("faults.conf", 46)},
-      {"gray.conf", 0x226ed587c62f8fa1ull, file("gray.conf", 34)},
-      {"oltp_dss.conf", 0xd15fc0ec2d805d22ull, file("oltp_dss.conf", 6)},
-      {"partition.conf", 0x1edb35ff315df965ull, file("partition.conf", 34)},
-      {"chaos_seed=11", 0x9142ff22b0589394ull, chaos(11)},
-      {"chaos_seed=4242", 0x27c0fd0be38b549dull, chaos(4242)},
-      {"chaos_seed=987654321", 0x68ba8dc1757099e3ull, chaos(987654321)},
-      {"repro-round-trip", 0xa00c492c27f8e1bcull, RunReproRoundTrip},
-      {"burst-loss+audit", 0x1f7f1b53bc22ffb9ull,
+      {"base.conf", 0x154120dc3f5a3c48ull, 0x8273710a041bfb3eull,
+       kNoBytes, 167669,
+       file("base.conf", 6)},
+      {"corrupt.conf", 0x8fcc04da2782352eull, 0x63d2a0741cb30928ull,
+       kNoBytes, 368914,
+       file("corrupt.conf", 14)},
+      {"faults.conf", 0x975082a72d0f9d96ull, 0xe492e9c59f8ccaa6ull,
+       kNoBytes, 940913,
+       file("faults.conf", 46)},
+      {"gray.conf", 0x2261f1cac6ded183ull, 0xca856ad575894d0dull,
+       kNoBytes, 763631,
+       file("gray.conf", 34)},
+      {"oltp_dss.conf", 0x80aa29e818bfd46full, 0x93a6866f0f2cc5aeull,
+       kNoBytes, 99551,
+       file("oltp_dss.conf", 6)},
+      {"partition.conf", 0x2310f952cac1c2daull, 0xe9009ad4bda7a251ull,
+       kNoBytes, 858206,
+       file("partition.conf", 34)},
+      {"chaos_seed=11", 0xbeb58ff65c76fbdbull, 0x2000beb85b4458f7ull,
+       kNoBytes, 68230,
+       chaos(11)},
+      {"chaos_seed=4242", 0x7fa7322535339397ull, 0x92cf6cda046eb51cull,
+       kNoBytes, 78289,
+       chaos(4242)},
+      {"chaos_seed=987654321", 0xc7c6a462dd852343ull, 0x50769f5cd6f8ddfcull,
+       kNoBytes, 77163,
+       chaos(987654321)},
+      {"repro-round-trip", 0xac276cccd50ebfafull, 0xc7aa9588845b9e7bull,
+       kNoBytes, 41675,
+       RunReproRoundTrip},
+      {"burst-loss+audit", 0x9c0bf2841ed14ecfull, 0xa45b0752eb4e634bull,
+       kNoBytes, 24489,
        text("nodes=3\ndb_pages=600\ncache_bytes=262144\n"
             "interval_ms=2000\nintervals=6\nseed=3\n"
             "net_loss_model=burst\nnet_burst_g2b=0.01\nnet_burst_b2g=0.3\n"
             "net_loss=0.02\naudit=1\n"
             "classes=2\nclass1_goal_ms=80\n")},
-      {"corruption+scrub", 0x3f39f5e80d6c5683ull,
+      {"corruption+scrub", 0x4f2813a6650f4d29ull, 0xf9373305e76ab8c8ull,
+       kNoBytes, 95179,
        text(std::string(kSmallCluster) + kBusyClasses +
             "corrupt=all\ncorrupt_latent=0.25\nfault_mttc_ms=4000\n"
             "corrupt_node=1\ncorrupt_at_ms=1500\ncorrupt_count=3\n"
             "corrupt_salt=9\nscrub=idle\nscrub_interval_ms=500\naudit=1\n")},
-      {"crashing+attainment", 0x1d653852fa505003ull,
+      {"crashing+attainment", 0x9ce540ec09b15c78ull, 0x02db7d9e55335c60ull,
+       0x862a952f5f7a85e8ull, 88822,
        RunTrackedCrashingCluster},
-      {"variance+attainment", 0xbfae783d9d6741c8ull,
+      {"variance+attainment", 0x1028c23c66117a92ull, 0x3f29c0ad371aea7cull,
+       0x9abee8247249687cull, 515643,
        tracked_file("base.conf", "objective=variance\nintervals=20\n")},
-      {"partition+attainment", 0x015a6e697090cfb5ull,
+      {"partition+attainment", 0x2310f952cac1c2daull, 0x8594485f3d532588ull,
+       0x81c8e42273df140eull, 858206,
        tracked_file("partition.conf", "intervals=34\n")},
   };
   for (const Golden& golden : goldens) {
@@ -411,9 +439,19 @@ TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
     ASSERT_TRUE(run.has_value()) << golden.name;
     EXPECT_GT(run->events, 0u) << golden.name;
     EXPECT_FALSE(run->decision_jsonl.empty()) << golden.name;
-    const uint64_t observed = Digest(*run);
-    EXPECT_EQ(observed, golden.digest)
-        << golden.name << ": observed digest 0x" << std::hex << observed;
+    const auto expect_pin = [&golden](const char* artifact, uint64_t observed,
+                                      uint64_t pinned) {
+      EXPECT_EQ(observed, pinned)
+          << golden.name << ": the " << artifact << " moved, observed 0x"
+          << std::hex << observed;
+    };
+    expect_pin("metrics CSV", Fnv1a(run->metrics_csv), golden.metrics);
+    expect_pin("decision log", Fnv1a(run->decision_jsonl), golden.decisions);
+    expect_pin("attainment exports",
+               Fnv1a(run->attainment_jsonl + run->attainment_csv),
+               golden.attainment);
+    EXPECT_EQ(run->events, golden.events)
+        << golden.name << ": the event count moved";
   }
 }
 

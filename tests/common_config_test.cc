@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+
 namespace memgoal::common {
 namespace {
 
@@ -56,6 +60,21 @@ TEST(ConfigTest, ParseTextWithCommentsAndBlanks) {
       "cache_bytes=2097152   # trailing comment\n"));
   EXPECT_EQ(config.GetInt("nodes", 0), 3);
   EXPECT_EQ(config.GetInt("cache_bytes", 0), 2097152);
+}
+
+TEST(ConfigTest, ParseFileReadsItAsText) {
+  const std::string path = testing::TempDir() + "config_parse_file.conf";
+  {
+    std::ofstream file(path);
+    file << "# a comment\nnodes = 4\n";
+  }
+  Config config;
+  ASSERT_TRUE(config.ParseFile(path)) << config.error();
+  EXPECT_EQ(config.GetInt("nodes", 0), 4);
+  std::remove(path.c_str());
+  Config missing;
+  EXPECT_FALSE(missing.ParseFile(path));
+  EXPECT_EQ(missing.error(), "cannot open " + path);
 }
 
 TEST(ConfigTest, BoolSpellings) {

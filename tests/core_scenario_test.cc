@@ -29,6 +29,17 @@ TEST(ScenarioTest, BackendKeysAreNotRead) {
   EXPECT_EQ(config.UnusedKeys(), (std::vector<std::string>{"lp", "queue"}));
 }
 
+TEST(ScenarioTest, NoGoalClassGoalIsNotRead) {
+  // Class 0 is the no-goal class: a goal given to it is an unused key.
+  common::Config config;
+  ASSERT_TRUE(config.ParseText("class0_goal_ms=5\nclass1_goal_ms=50\n"));
+  std::string error;
+  const std::optional<Scenario> scenario = LoadScenario(config, &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  EXPECT_FALSE(scenario->classes[0].goal_rt_ms.has_value());
+  EXPECT_EQ(config.UnusedKeys(), (std::vector<std::string>{"class0_goal_ms"}));
+}
+
 TEST(ScenarioTest, PolicyNearMissGetsSuggestion) {
   std::string error;
   EXPECT_FALSE(Load("policy=lru_k\nclass1_goal_ms=50\n", &error).has_value());
@@ -142,6 +153,8 @@ TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
       {"chaos_seed=1.5\n", "chaos_seed must be an integer, got 1.5"},
       {"audit=maybe\n",
        "audit must be 1/0, true/false, yes/no or on/off, got maybe"},
+      {"class1_goal_ms=-1\n", "class1_goal_ms must be finite and > 0, got -1"},
+      {"class1_goal_ms=0\n", "class1_goal_ms must be finite and > 0, got 0"},
   };
   for (const auto& [text, message] : cases) {
     std::string error;
@@ -149,11 +162,15 @@ TEST(ScenarioTest, OutOfRangeNumbersAreRejected) {
         << text;
     EXPECT_NE(error.find(message), std::string::npos) << text << error;
   }
-  // A goal class's goal that is not a number says so, rather than that the
-  // goal is missing.
+  // A goal class's goal that is not a number names the range, rather than
+  // saying that the goal is missing; a missing one says so.
   std::string error;
   EXPECT_FALSE(Load("class1_goal_ms=fast\n", &error).has_value());
-  EXPECT_NE(error.find("class1_goal_ms must be a number, got fast"),
+  EXPECT_NE(error.find("class1_goal_ms must be finite and > 0, got fast"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(Load("classes=3\nclass1_goal_ms=5\n", &error).has_value());
+  EXPECT_NE(error.find("class2_goal_ms required for goal class"),
             std::string::npos)
       << error;
   // The edges of each range load.

@@ -108,12 +108,6 @@ TEST(IntegrityMapTest, ClearNodeFramesWipesOneNodeOnly) {
   EXPECT_EQ(map.marked(), 2u);
 }
 
-TEST(IntegrityMapTest, FlawNames) {
-  EXPECT_STREQ(FlawName(Flaw::kNone), "none");
-  EXPECT_STREQ(FlawName(Flaw::kDetectable), "detectable");
-  EXPECT_STREQ(FlawName(Flaw::kLatent), "latent");
-}
-
 TEST(StorageLevelTest, Names) {
   EXPECT_STREQ(StorageLevelName(StorageLevel::kLocalBuffer), "local-buffer");
   EXPECT_STREQ(StorageLevelName(StorageLevel::kRemoteDisk), "remote-disk");

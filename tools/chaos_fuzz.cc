@@ -165,7 +165,8 @@ int Run(memgoal::common::Config& config) {
   limits.goal_classes = {1};
   const bool corrupt = config.GetBool("corrupt", false);
   if (corrupt) limits.max_corrupt_episodes = limits.max_episodes;
-  const double goal_ms = config.GetDouble("goal_ms", 5.0);
+  const double goal_ms = config.GetDouble(
+      "goal_ms", 5.0, memgoal::common::NumberRange::Above(0.0));
   const std::string bug_name = config.GetString("inject_bug", "none");
   const bool expect_violation = config.GetBool("expect_violation", false);
   const std::string repro_out = config.GetString("repro_out", "");

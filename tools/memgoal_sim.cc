@@ -7,7 +7,9 @@
 //
 //   memgoal_sim scenario.conf intervals=120 seed=9
 //
-// Scenario keys (defaults in parentheses):
+// Scenario keys (defaults in parentheses), read by core::LoadScenario; the
+// examples under examples/ take the same keys on top of their own
+// scenario file:
 //   nodes (3), cache_bytes (2097152), page_bytes (4096), db_pages (2000),
 //   interval_ms (5000), seed (1), intervals (40),
 //   policy (cost-based | lru | lru-k | fifo),
@@ -47,8 +49,16 @@
 //                                      on top of the scripted faults
 //   audit (0)                        — run the invariant auditor every
 //                                      interval; violations fail the run
+//                                      (memgoal_sim only: the examples
+//                                      reject it)
 //   crash_detect_timeout_ms (2.0),
 //   classes (2)                      — total class count including class 0
+//   class<i>_goal_ms                 — > 0, required for each goal class
+//                                      (i >= 1); class 0 has no goal
+//   class<i>_pages                   — "begin:end" page range
+//   class<i>_interarrival_ms (100), class<i>_accesses (4),
+//   class<i>_skew (0), class<i>_share_prob (0),
+//   class<i>_shared_pages            — "begin:end" of the shared range
 //
 // Observability outputs (also accepted as --trace-out=..., --decision-log=...
 // style flags; a path of "" disables; unknown --flags are rejected with a
@@ -70,11 +80,6 @@
 // All observability sinks are also flushed from a signal handler on
 // abnormal exit (MEMGOAL_CHECK abort, SIGINT, SIGTERM), so a truncated run
 // still yields parseable files of complete records.
-//   class<i>_goal_ms                 — omit (or 0) for the no-goal class
-//   class<i>_pages                   — "begin:end" page range
-//   class<i>_interarrival_ms (100), class<i>_accesses (4),
-//   class<i>_skew (0), class<i>_share_prob (0),
-//   class<i>_shared_pages            — "begin:end" of the shared range
 //
 // Example scenario file: see tools/scenarios/base.conf.
 
@@ -82,7 +87,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -430,26 +434,15 @@ int main(int argc, char** argv) {
   }
 
   memgoal::common::Config config;
-  std::string text;
+  bool parsed = false;
   if (std::string(argv[1]) == "-") {
     std::ostringstream buffer;
     buffer << std::cin.rdbuf();
-    text = buffer.str();
+    parsed = config.ParseText(buffer.str());
   } else {
-    std::ifstream file(argv[1]);
-    if (!file) {
-      std::fprintf(stderr, "error: cannot open %s\n", argv[1]);
-      return 1;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    text = buffer.str();
+    parsed = config.ParseFile(argv[1]);
   }
-  if (!config.ParseText(text)) {
-    std::fprintf(stderr, "error: %s\n", config.error().c_str());
-    return 1;
-  }
-  if (!config.ParseArgs(argc - 1, argv + 1)) {
+  if (!parsed || !config.ParseArgs(argc - 1, argv + 1)) {
     std::fprintf(stderr, "error: %s\n", config.error().c_str());
     return 1;
   }
