@@ -1,6 +1,7 @@
 #include "net/directory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -10,7 +11,9 @@ namespace memgoal::net {
 
 PageDirectory::PageDirectory(const storage::Database* database)
     : database_(database), num_nodes_(database->num_nodes()),
-      cached_(static_cast<size_t>(database->num_pages()) * num_nodes_, false),
+      words_per_page_((num_nodes_ + 63) / 64),
+      holders_(static_cast<size_t>(database->num_pages()) * words_per_page_,
+               0),
       copy_count_(database->num_pages(), 0),
       heat_(static_cast<size_t>(database->num_pages()) * num_nodes_, 0.0),
       global_heat_(database->num_pages(), 0.0),
@@ -18,18 +21,18 @@ PageDirectory::PageDirectory(const storage::Database* database)
 
 void PageDirectory::OnPageCached(NodeId node, PageId page) {
   MEMGOAL_DCHECK(node < num_nodes_ && page < database_->num_pages());
-  const size_t idx = Index(node, page);
-  if (cached_[idx]) return;
-  cached_[idx] = true;
+  uint64_t& word = holders_[HolderIndex(node, page)];
+  if (word & HolderBit(node)) return;
+  word |= HolderBit(node);
   ++copy_count_[page];
   ++total_cached_;
 }
 
 void PageDirectory::OnPageDropped(NodeId node, PageId page) {
   MEMGOAL_DCHECK(node < num_nodes_ && page < database_->num_pages());
-  const size_t idx = Index(node, page);
-  if (!cached_[idx]) return;
-  cached_[idx] = false;
+  uint64_t& word = holders_[HolderIndex(node, page)];
+  if (!(word & HolderBit(node))) return;
+  word &= ~HolderBit(node);
   MEMGOAL_CHECK(copy_count_[page] > 0);
   --copy_count_[page];
   --total_cached_;
@@ -39,14 +42,15 @@ int PageDirectory::DropNode(NodeId node) {
   MEMGOAL_DCHECK(node < num_nodes_);
   int dropped = 0;
   for (PageId page = 0; page < database_->num_pages(); ++page) {
-    const size_t idx = Index(node, page);
-    if (cached_[idx]) {
-      cached_[idx] = false;
+    uint64_t& word = holders_[HolderIndex(node, page)];
+    if (word & HolderBit(node)) {
+      word &= ~HolderBit(node);
       MEMGOAL_CHECK(copy_count_[page] > 0);
       --copy_count_[page];
       --total_cached_;
       ++dropped;
     }
+    const size_t idx = Index(node, page);
     if (heat_[idx] != 0.0) {
       global_heat_[page] -= heat_[idx];
       heat_[idx] = 0.0;
@@ -57,7 +61,7 @@ int PageDirectory::DropNode(NodeId node) {
 
 bool PageDirectory::IsCachedAt(NodeId node, PageId page) const {
   MEMGOAL_DCHECK(node < num_nodes_ && page < database_->num_pages());
-  return cached_[Index(node, page)];
+  return (holders_[HolderIndex(node, page)] & HolderBit(node)) != 0;
 }
 
 int PageDirectory::CopyCount(PageId page) const {
@@ -69,17 +73,32 @@ void PageDirectory::RankedCopies(PageId page, NodeId except,
                                  CopyList* out) const {
   out->clear();
   if (copy_count_[page] == 0) return;
-  // Classic scan order first: home, then deterministically from the home.
+  // Classic scan order first: home, then deterministically from the home,
+  // i.e. holders in [home, N) and then in [0, home). Walking the words from
+  // the home's word (its bits at and above the home first, the bits below
+  // it last) emits exactly that rotation.
   const NodeId home = database_->HomeOf(page);
-  for (uint32_t offset = 0; offset < num_nodes_; ++offset) {
-    const NodeId node = (home + offset) % num_nodes_;
-    if (node == except) continue;
-    if (!IsCachedAt(node, page)) continue;
-    if (partition_active_ && reachable_ && !reachable_(except, node)) {
-      continue;
+  const uint64_t* words =
+      &holders_[static_cast<size_t>(page) * words_per_page_];
+  const auto emit = [&](size_t word, uint64_t bits) {
+    for (; bits != 0; bits &= bits - 1) {
+      const auto node =
+          static_cast<NodeId>(word * 64 + std::countr_zero(bits));
+      if (node == except) continue;
+      if (partition_active_ && reachable_ && !reachable_(except, node)) {
+        continue;
+      }
+      out->push_back(node);
     }
-    out->push_back(node);
+  };
+  const size_t home_word = home / 64;
+  const uint64_t from_home = ~uint64_t{0} << (home % 64);
+  emit(home_word, words[home_word] & from_home);
+  for (size_t word = home_word + 1; word < words_per_page_; ++word) {
+    emit(word, words[word]);
   }
+  for (size_t word = 0; word < home_word; ++word) emit(word, words[word]);
+  emit(home_word, words[home_word] & ~from_home);
   // Stable sort by health cost: equal costs (the healthy steady state)
   // preserve the scan order exactly, so ranking only reorders when the
   // fetch layer has actually observed asymmetric latencies. Insertion sort
@@ -126,9 +145,8 @@ std::optional<std::string> PageDirectory::AuditInternalConsistency() const {
     int copies = 0;
     double heat_sum = 0.0;
     for (NodeId node = 0; node < num_nodes_; ++node) {
-      const size_t idx = Index(node, page);
-      if (cached_[idx]) ++copies;
-      heat_sum += heat_[idx];
+      if (IsCachedAt(node, page)) ++copies;
+      heat_sum += heat_[Index(node, page)];
     }
     if (copies != copy_count_[page]) {
       return "page " + std::to_string(page) + ": copy_count " +

@@ -101,10 +101,18 @@ class PageDirectory {
   size_t Index(NodeId node, PageId page) const {
     return static_cast<size_t>(page) * num_nodes_ + node;
   }
+  /// Index in holders_ of the word of `page`'s mask that holds `node`.
+  size_t HolderIndex(NodeId node, PageId page) const {
+    return static_cast<size_t>(page) * words_per_page_ + node / 64;
+  }
+  static uint64_t HolderBit(NodeId node) { return uint64_t{1} << (node % 64); }
 
   const storage::Database* database_;
   uint32_t num_nodes_;
-  std::vector<bool> cached_;        // [page * num_nodes + node]
+  size_t words_per_page_;  // ceil(num_nodes / 64)
+  /// Holder bitmask: words_per_page_ words per page, node n at bit n % 64
+  /// of word n / 64; bits past num_nodes stay zero.
+  std::vector<uint64_t> holders_;
   std::vector<uint16_t> copy_count_;  // [page]
   std::vector<double> heat_;        // [page * num_nodes + node]
   std::vector<double> global_heat_;  // [page], maintained sum

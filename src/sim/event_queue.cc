@@ -41,17 +41,17 @@ void CalendarQueue::Insert(EventNode* node) {
   hint_ = node;
   if (peeked_ != nullptr && EventNode::Earlier(node, peeked_)) peeked_ = node;
   ++size_;
-  walks_since_retune_ += steps;
+  steps_since_retune_ += steps;
   if (size_ > 2 * buckets_.size()) {
     Rebuild(buckets_.size() * 2);
   } else if (++inserts_since_retune_ >= retune_window_) {
-    if (walks_since_retune_ > kRetuneMeanWalk * inserts_since_retune_) {
+    if (steps_since_retune_ > kRetuneMeanSteps * inserts_since_retune_) {
       const double old_width = width_;
       Rebuild(buckets_.size());
       retune_window_ =
           width_ == old_width ? retune_window_ * 2 : kRetuneWindow;
     }
-    walks_since_retune_ = 0;
+    steps_since_retune_ = 0;
     inserts_since_retune_ = 0;
   }
 }
@@ -67,11 +67,15 @@ EventNode* CalendarQueue::PeekMin() {
     // sort behind). No queued day precedes cursor_day_, so the first match
     // is the global minimum.
     if (head != nullptr && head->day == cursor_day_) return peeked_ = head;
+    // An empty day, charged to the retune budget: a width too fine for the
+    // population retunes even when inserts find their slots at once.
     ++cursor_day_;
+    ++steps_since_retune_;
   }
   // A whole year without a hit: the population is sparse relative to the
   // current width. Direct search over bucket heads, then re-park the
-  // cursor at the winner's day.
+  // cursor at the winner's day. The direct search is charged too.
+  steps_since_retune_ += year_days;
   EventNode* best = nullptr;
   for (EventNode* head : buckets_) {
     if (head == nullptr) continue;
@@ -100,7 +104,7 @@ EventNode* CalendarQueue::PopMin() {
 
 void CalendarQueue::Rebuild(size_t bucket_count) {
   hint_ = nullptr;
-  walks_since_retune_ = 0;
+  steps_since_retune_ = 0;
   inserts_since_retune_ = 0;
   std::vector<EventNode*> nodes;
   nodes.reserve(size_);

@@ -177,15 +177,18 @@ class CalendarQueue {
   /// overflows land together in the max day, still ordered by (time, seq)
   /// within their shared bucket.
   static constexpr uint64_t kMaxDay = uint64_t{1} << 62;
-  /// Walk-cost self-tuning: every kRetuneWindow inserts, if the mean
-  /// sorted-insert walk exceeded kRetuneMeanWalk steps, the calendar
-  /// rebuilds at the same bucket count purely to re-derive the width from
-  /// the *current* head density. Load factor alone cannot catch a stale
-  /// width: a burst of near-term events can pile dozens of chained nodes
-  /// into a handful of "today" buckets while the table as a whole looks
-  /// perfectly sized.
+  /// Step-cost self-tuning: every kRetuneWindow inserts, if the steps paid
+  /// since the last retune (sorted-insert walk steps plus the empty days
+  /// PeekMin's cursor stepped past) exceeded kRetuneMeanSteps per insert,
+  /// the calendar rebuilds at the same bucket count purely to re-derive the
+  /// width from the *current* head density. Load factor alone cannot catch
+  /// a stale width, in either direction: a burst of near-term events can
+  /// pile dozens of chained nodes into a handful of "today" buckets while
+  /// the table as a whole looks perfectly sized (inserts walk), and a width
+  /// sampled from such a burst leaves the steady stream after it spread
+  /// over many empty days (pops scan).
   static constexpr uint64_t kRetuneWindow = 8192;
-  static constexpr uint64_t kRetuneMeanWalk = 4;
+  static constexpr uint64_t kRetuneMeanSteps = 4;
 
   uint64_t DayOf(SimTime time) const;
   /// Re-buckets every node into `bucket_count` buckets with a width
@@ -210,7 +213,7 @@ class CalendarQueue {
   /// Rebuild preserves it: relinking moves no node across the (time, seq)
   /// order, so the minimum is the same node at a new bucket head.
   EventNode* peeked_ = nullptr;
-  uint64_t walks_since_retune_ = 0;
+  uint64_t steps_since_retune_ = 0;
   uint64_t inserts_since_retune_ = 0;
   /// Doubles after a retune that failed to change the width (e.g. an
   /// all-equal-timestamp head), so an untunable population cannot thrash

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/directory.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -354,6 +356,110 @@ TEST_F(DirectoryTest, TotalCachedPages) {
   EXPECT_EQ(directory_.total_cached_pages(), 3u);
   directory_.OnPageDropped(1, 1);
   EXPECT_EQ(directory_.total_cached_pages(), 2u);
+}
+
+// The ranking as a linear scan over an independent holder table: nodes in
+// [home, N) and then [0, home), minus the requester and, while a partition
+// is active, the holders it cannot reach, stably sorted by node cost.
+std::vector<NodeId> ReferenceRanking(
+    const std::vector<std::vector<bool>>& held,
+    const std::vector<double>& cost, const std::vector<int>& side,
+    const storage::Database& db, PageId page, NodeId except,
+    bool partition) {
+  const uint32_t n = db.num_nodes();
+  const NodeId home = db.HomeOf(page);
+  std::vector<NodeId> out;
+  for (uint32_t offset = 0; offset < n; ++offset) {
+    const NodeId node = (home + offset) % n;
+    if (node == except || !held[page][node]) continue;
+    if (partition && side[node] != side[except]) continue;
+    out.push_back(node);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [&](NodeId a, NodeId b) { return cost[a] < cost[b]; });
+  return out;
+}
+
+TEST(DirectoryBitmaskTest, RankingMatchesLinearScanAcrossWordBoundaries) {
+  for (const uint32_t nodes : {1u, 3u, 63u, 64u, 65u, 128u, 130u}) {
+    SCOPED_TRACE(nodes);
+    const uint32_t pages = 2 * nodes + 7;  // every node is some page's home
+    const storage::Database db(pages, 4096, nodes);
+    PageDirectory directory(&db);
+    common::Rng rng(0xD1C7u + nodes);
+    // Holder sets from empty to full: each page gets its own density.
+    std::vector<std::vector<bool>> held(pages, std::vector<bool>(nodes));
+    for (PageId page = 0; page < pages; ++page) {
+      const double density = rng.NextDouble();
+      for (NodeId node = 0; node < nodes; ++node) {
+        if (rng.NextDouble() < density) {
+          directory.OnPageCached(node, page);
+          directory.ReportLocalHeat(node, page, rng.NextDouble());
+          held[page][node] = true;
+        }
+      }
+    }
+    // Few distinct costs, so the stable sort's ties are exercised.
+    std::vector<double> cost(nodes);
+    for (NodeId node = 0; node < nodes; ++node) {
+      cost[node] = static_cast<double>(rng.UniformInt(0, 2));
+      directory.SetNodeCost(node, cost[node]);
+    }
+    std::vector<int> side(nodes);
+    for (int& s : side) s = static_cast<int>(rng.UniformInt(0, 1));
+    directory.SetReachability(
+        [&side](NodeId from, NodeId to) { return side[from] == side[to]; });
+
+    const auto check_all = [&] {
+      for (const bool partition : {false, true}) {
+        directory.SetPartitionActive(partition);
+        for (int query = 0; query < 400; ++query) {
+          const auto page = static_cast<PageId>(rng.UniformInt(0, pages - 1));
+          const auto except =
+              static_cast<NodeId>(rng.UniformInt(0, nodes - 1));
+          PageDirectory::CopyList out;
+          directory.RankedCopies(page, except, &out);
+          ASSERT_EQ(std::vector<NodeId>(out.begin(), out.end()),
+                    ReferenceRanking(held, cost, side, db, page, except,
+                                     partition))
+              << "page " << page << " home " << db.HomeOf(page)
+              << " requester " << except << " partition " << partition;
+        }
+      }
+      directory.SetPartitionActive(false);
+      uint64_t total = 0;
+      for (PageId page = 0; page < pages; ++page) {
+        const auto copies = static_cast<int>(
+            std::count(held[page].begin(), held[page].end(), true));
+        ASSERT_EQ(directory.CopyCount(page), copies) << "page " << page;
+        total += static_cast<uint64_t>(copies);
+        for (NodeId node = 0; node < nodes; ++node) {
+          ASSERT_EQ(directory.IsCachedAt(node, page), held[page][node])
+              << "page " << page << " node " << node;
+        }
+      }
+      EXPECT_EQ(directory.total_cached_pages(), total);
+      EXPECT_FALSE(directory.AuditInternalConsistency().has_value());
+    };
+    check_all();
+
+    // Drops, single and whole-node, on both sides of a word boundary.
+    for (int drop = 0; drop < 200; ++drop) {
+      const auto page = static_cast<PageId>(rng.UniformInt(0, pages - 1));
+      const auto node = static_cast<NodeId>(rng.UniformInt(0, nodes - 1));
+      directory.OnPageDropped(node, page);
+      held[page][node] = false;
+    }
+    for (const NodeId node : {0u, nodes / 2, nodes - 1}) {
+      int expected = 0;
+      for (PageId page = 0; page < pages; ++page) {
+        if (held[page][node]) ++expected;
+        held[page][node] = false;
+      }
+      EXPECT_EQ(directory.DropNode(node), expected) << "node " << node;
+    }
+    check_all();
+  }
 }
 
 }  // namespace

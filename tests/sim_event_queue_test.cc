@@ -30,6 +30,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -205,6 +206,58 @@ TEST_F(QueueConformance, ReinsertionAfterPopRefiles) {
     queue_.Insert(node);
     model_.Insert(node);
   }
+  while (PopBothAndCompare()) {
+  }
+}
+
+TEST_F(QueueConformance, PopScansRetuneAWidthSetByABurst) {
+  // The shape of a 64-node interval boundary on a bare queue: about 4k
+  // events spread over a second, then a burst of events a hair apart,
+  // inserted out of order so that insert walks alone fire the retune,
+  // which samples the burst at the head and sets a width far too fine for
+  // the steady stream behind it (30x the burst's spacing). Pops then step
+  // past empty days while inserts walk almost nothing; the steps pops pay
+  // must bring the width back within two retune windows. Every pop is
+  // checked against the reference model throughout.
+  constexpr int kPopulation = 4200;  // > 4096: the table settles at 4096
+  constexpr double kStream = 1000.0 / kPopulation;  // ms between events
+  constexpr double kBurst = kStream / 30.0;
+  constexpr int kBurstSize = 3900;  // population stays under 2 x 4096
+  constexpr int kWindow = 8192;     // CalendarQueue::kRetuneWindow
+  common::Rng rng(0xB0057u);
+  for (int i = 0; i < kPopulation; ++i) {
+    InsertBoth(rng.Uniform(0.0, 1000.0));
+  }
+  // The stream: every pop is replaced one second later, at the far end.
+  SimTime stream_end = 1000.0;
+  auto hold = [&] {
+    ASSERT_TRUE(PopBothAndCompare());
+    stream_end += kStream;
+    InsertBoth(stream_end);
+  };
+  // From a fresh queue the retune windows count from the last growth
+  // rebuild (at 4097 events): 500 holds in, the burst and the holds that
+  // pop through it close the window while the burst is still the head.
+  for (int i = 0; i < 500; ++i) hold();
+  const double stream_width = queue_.width();
+  const SimTime burst_start = model_.PeekMin()->time;
+  std::vector<int> order(kBurstSize);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), rng.engine());
+  for (const int j : order) InsertBoth(burst_start + j * kBurst);
+
+  bool narrowed = false;
+  for (int i = 0; i < kWindow && !narrowed; ++i) {
+    hold();
+    narrowed = queue_.width() < kStream / 3.0;
+  }
+  ASSERT_TRUE(narrowed) << "the burst never set the width; width "
+                        << queue_.width() << " ms, was " << stream_width;
+  EXPECT_LT(queue_.width(), 4.0 * kBurst);
+
+  for (int i = 0; i < 2 * kWindow; ++i) hold();
+  EXPECT_GE(queue_.width(), kStream) << "the burst's width outlived it";
+  EXPECT_LE(queue_.width(), 6.0 * kStream);
   while (PopBothAndCompare()) {
   }
 }

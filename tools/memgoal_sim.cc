@@ -410,13 +410,17 @@ int Run(memgoal::common::Config& config) {
     auditor.WriteReport(stderr);
     if (!auditor.ok()) return 1;
   }
+  // A single node sends nothing over the network.
   const auto& network = system.network();
+  const double total_bytes = static_cast<double>(network.total_bytes_sent());
   std::fprintf(stderr, "# network: %.1f MB total, protocol share %.5f%%\n",
-               static_cast<double>(network.total_bytes_sent()) / 1e6,
-               100.0 *
-                   static_cast<double>(network.bytes_sent(
-                       memgoal::net::TrafficClass::kPartitionProtocol)) /
-                   static_cast<double>(network.total_bytes_sent()));
+               total_bytes / 1e6,
+               total_bytes > 0.0
+                   ? 100.0 *
+                         static_cast<double>(network.bytes_sent(
+                             memgoal::net::TrafficClass::kPartitionProtocol)) /
+                         total_bytes
+                   : 0.0);
 
   for (const std::string& key : config.UnusedKeys()) {
     std::fprintf(stderr, "# warning: unused key %s\n", key.c_str());
