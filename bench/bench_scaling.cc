@@ -17,7 +17,8 @@
 // of the control plane must stay near-flat as N and K grow.
 //
 // Usage: bench_scaling [key=value ...] [--quick] [--threads=N]
-//        (intervals=80 seed=1 part=ab threads=0)
+//        (intervals=80 seed=1 part=ab threads=0; grid=NxK with part=c
+//        runs one cell, N and K in 1..256)
 //
 // The default part stays "ab" so the committed BENCH_scaling.json baseline
 // keeps gating the legacy sweep; part=c emits BENCH_scaling_c.json.
@@ -27,11 +28,11 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/experiment.h"
-#include "common/check.h"
 #include "common/config.h"
 #include "common/stats.h"
 #include "net/network.h"
@@ -43,6 +44,30 @@ struct RowResult {
   ConvergenceResult convergence;
   double protocol_share = 0.0;
 };
+
+struct GridCell {
+  uint32_t nodes;
+  int classes;
+};
+
+// Reads grid=NxK: two positive integers, each at most 256 (the largest
+// side of the full grid), and nothing else. nullopt on anything else.
+std::optional<GridCell> ParseGridCell(const std::string& text) {
+  const auto side = [](const std::string& digits) -> unsigned long {
+    if (digits.empty() || digits.size() > 3 ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      return 0;
+    }
+    const unsigned long value = std::stoul(digits);
+    return value <= 256 ? value : 0;
+  };
+  const size_t x = text.find('x');
+  if (x == std::string::npos) return std::nullopt;
+  const unsigned long nodes = side(text.substr(0, x));
+  const unsigned long classes = side(text.substr(x + 1));
+  if (nodes == 0 || classes == 0) return std::nullopt;
+  return GridCell{static_cast<uint32_t>(nodes), static_cast<int>(classes)};
+}
 
 // Runs the goal-change protocol once more on a fresh system to measure the
 // traffic share (MeasureConvergence does not expose its systems).
@@ -108,7 +133,15 @@ int Main(int argc, char** argv) {
     return 1;
   }
   // part=c only: probe a single nodes x classes cell instead of the grid.
-  const std::string grid_only = args.GetString("grid", "");
+  const std::string grid_flag = args.GetString("grid", "");
+  const std::optional<GridCell> grid_only =
+      grid_flag.empty() ? std::nullopt : ParseGridCell(grid_flag);
+  if (!grid_flag.empty() && !grid_only) {
+    std::fprintf(stderr,
+                 "error: grid must be NxK with N and K in 1..256, got '%s'\n",
+                 grid_flag.c_str());
+    return 1;
+  }
   // Non-default part selections report under their own name so the grid
   // smoke leg and the legacy sweep don't clobber each other's BENCH json
   // (and each can have its own committed baseline).
@@ -182,20 +215,12 @@ int Main(int argc, char** argv) {
     std::printf(
         "nodes,classes,db_pages,rt_warm,goal,converged_intervals,events,"
         "us_per_event,vs_ref\n");
-    struct GridCell {
-      uint32_t nodes;
-      int classes;
-    };
     // The 3-node, 1-goal-class reference row is the paper's base config;
     // every grid row's per-event wall cost is reported relative to it.
     // grid=NxK probes a single cell (plus the reference row).
     std::vector<GridCell> grid = {{3u, 1}};
-    if (!grid_only.empty()) {
-      const size_t x = grid_only.find('x');
-      MEMGOAL_CHECK(x != std::string::npos);
-      grid.push_back(
-          {static_cast<uint32_t>(std::stoul(grid_only.substr(0, x))),
-           std::stoi(grid_only.substr(x + 1))});
+    if (grid_only) {
+      grid.push_back(*grid_only);
     } else if (quick) {
       grid.push_back({16u, 8});
       grid.push_back({64u, 64});

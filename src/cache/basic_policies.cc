@@ -39,6 +39,8 @@ class ListPolicyBase : public ReplacementPolicy {
     index_.erase(it);
   }
 
+  bool Contains(PageId page) const override { return index_.count(page) > 0; }
+
   std::optional<PageId> ChooseVictim() override {
     if (order_.empty()) return std::nullopt;
     return order_.front();

@@ -6,11 +6,10 @@
 
 namespace memgoal::cache {
 
-BufferPool::BufferPool(std::string name, uint32_t page_bytes,
-                       uint64_t capacity_bytes,
+BufferPool::BufferPool(uint32_t page_bytes, uint64_t capacity_bytes,
                        std::unique_ptr<ReplacementPolicy> policy)
-    : name_(std::move(name)), page_bytes_(page_bytes),
-      capacity_bytes_(capacity_bytes), policy_(std::move(policy)) {
+    : page_bytes_(page_bytes), capacity_bytes_(capacity_bytes),
+      policy_(std::move(policy)) {
   MEMGOAL_CHECK(page_bytes_ > 0);
   MEMGOAL_CHECK(policy_ != nullptr);
 }
@@ -22,11 +21,11 @@ void BufferPool::Touch(PageId page) {
 
 template <typename Out>
 void BufferPool::EvictDownTo(size_t limit, Out* out) {
-  while (resident_.size() > limit) {
+  while (resident_ > limit) {
     std::optional<PageId> victim = policy_->ChooseVictim();
     MEMGOAL_CHECK(victim.has_value());
     policy_->OnErase(*victim);
-    MEMGOAL_CHECK(resident_.Erase(*victim) == 1);
+    --resident_;
     out->push_back(*victim);
   }
 }
@@ -35,7 +34,6 @@ template void BufferPool::EvictDownTo(size_t, EvictedList*);
 template void BufferPool::EvictDownTo(size_t, std::vector<PageId>*);
 
 BufferPool::InsertResult BufferPool::Insert(PageId page) {
-  MEMGOAL_CHECK(!Contains(page));
   InsertResult result;
   const size_t frames = capacity_frames();
   if (frames == 0) return result;
@@ -44,9 +42,10 @@ BufferPool::InsertResult BufferPool::Insert(PageId page) {
   // back out — essential for the cost-based policy, where a freshly fetched
   // *duplicate* must not displace a resident last-copy page (it is used
   // once and discarded instead). Recency policies are unaffected: a new
-  // page is never their immediate victim.
-  resident_.Insert(page);
+  // page is never their immediate victim. The policy CHECKs that `page`
+  // was not resident.
   policy_->OnInsert(page);
+  ++resident_;
   result.inserted = true;
   EvictDownTo(frames, &result.evicted);
   for (auto it = result.evicted.begin(); it != result.evicted.end(); ++it) {
@@ -60,8 +59,8 @@ BufferPool::InsertResult BufferPool::Insert(PageId page) {
 }
 
 void BufferPool::Erase(PageId page) {
-  MEMGOAL_CHECK(resident_.Erase(page) == 1);
-  policy_->OnErase(page);
+  policy_->OnErase(page);  // CHECKs that `page` is resident
+  --resident_;
 }
 
 std::vector<PageId> BufferPool::Resize(uint64_t new_capacity_bytes) {

@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/replacement.h"
-#include "common/flat_hash_map.h"
 #include "common/inline_vector.h"
 #include "storage/types.h"
 
@@ -18,8 +16,9 @@ namespace memgoal::cache {
 /// (resize, crash clear) use plain vectors instead.
 using EvictedList = common::InlineVector<PageId, 2>;
 
-/// One buffer pool: a byte budget, a set of resident pages, and a
-/// replacement policy. Pools are resizable at run time — the allocation
+/// One buffer pool: a byte budget, a count of resident pages, and a
+/// replacement policy, whose index is the pool's one record of which pages
+/// are resident. Pools are resizable at run time — the allocation
 /// phase of the feedback loop (§5e) shrinks and grows the per-class
 /// dedicated pools — and shrinking evicts immediately.
 ///
@@ -27,10 +26,10 @@ using EvictedList = common::InlineVector<PageId, 2>;
 /// capacity below one page size means the pool cannot hold anything.
 class BufferPool {
  public:
-  BufferPool(std::string name, uint32_t page_bytes, uint64_t capacity_bytes,
+  BufferPool(uint32_t page_bytes, uint64_t capacity_bytes,
              std::unique_ptr<ReplacementPolicy> policy);
 
-  bool Contains(PageId page) const { return resident_.Contains(page); }
+  bool Contains(PageId page) const { return policy_->Contains(page); }
 
   /// Records a hit on a resident page.
   void Touch(PageId page);
@@ -48,6 +47,7 @@ class BufferPool {
   InsertResult Insert(PageId page);
 
   /// Removes a resident page (promotion to another pool, external drop).
+  /// `page` must be resident.
   void Erase(PageId page);
 
   /// Changes the byte budget; evicts down to the new frame count when
@@ -58,22 +58,19 @@ class BufferPool {
   size_t capacity_frames() const {
     return static_cast<size_t>(capacity_bytes_ / page_bytes_);
   }
-  size_t resident_pages() const { return resident_.size(); }
-  const std::string& name() const { return name_; }
-  ReplacementPolicy* policy() { return policy_.get(); }
+  size_t resident_pages() const { return resident_; }
 
  private:
-  // Evicts victims until `resident_.size() <= limit`; appends to `out`.
+  // Evicts victims until `resident_ <= limit`; appends to `out`.
   // Templated so the hot insert path appends to the inline EvictedList
   // while bulk resizes append to a plain vector.
   template <typename Out>
   void EvictDownTo(size_t limit, Out* out);
 
-  std::string name_;
   uint32_t page_bytes_;
   uint64_t capacity_bytes_;
   std::unique_ptr<ReplacementPolicy> policy_;
-  common::FlatHashSet<PageId> resident_;
+  size_t resident_ = 0;
 };
 
 }  // namespace memgoal::cache

@@ -33,6 +33,7 @@ class CostBasedPolicy final : public ReplacementPolicy {
   void OnInsert(PageId page) override;
   void OnAccess(PageId page) override;
   void OnErase(PageId page) override;
+  bool Contains(PageId p) const override { return residents_.Contains(p); }
   std::optional<PageId> ChooseVictim() override;
   const char* name() const override { return "cost-based"; }
 

@@ -1,7 +1,6 @@
 #include "cache/node_cache.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -11,8 +10,7 @@ namespace memgoal::cache {
 NodeCache::NodeCache(NodeId node, uint64_t total_bytes, uint32_t page_bytes,
                      const PolicyFactory& factory)
     : node_(node), total_bytes_(total_bytes), page_bytes_(page_bytes),
-      nogoal_pool_("node" + std::to_string(node) + "/nogoal", page_bytes,
-                   total_bytes, factory(kNoGoalClass)),
+      nogoal_pool_(page_bytes, total_bytes, factory(kNoGoalClass)),
       factory_(factory) {
   MEMGOAL_CHECK(factory_ != nullptr);
 }
@@ -21,10 +19,7 @@ void NodeCache::EnsureDedicatedPool(ClassId klass) {
   MEMGOAL_CHECK(klass != kNoGoalClass);
   if (dedicated_.count(klass) > 0) return;
   dedicated_.emplace(
-      klass,
-      BufferPool("node" + std::to_string(node_) + "/class" +
-                     std::to_string(klass),
-                 page_bytes_, /*capacity_bytes=*/0, factory_(klass)));
+      klass, BufferPool(page_bytes_, /*capacity_bytes=*/0, factory_(klass)));
 }
 
 BufferPool& NodeCache::PoolFor(ClassId location) {

@@ -9,6 +9,7 @@
 
 #include "cache/buffer_pool.h"
 #include "cache/replacement.h"
+#include "common/flat_hash_map.h"
 #include "storage/types.h"
 
 namespace memgoal::cache {

@@ -13,7 +13,9 @@ namespace memgoal::cache {
 ///
 /// The pool tells the policy about structural events (insert/access/erase);
 /// the policy answers ChooseVictim() without removing the page — the pool
-/// erases it explicitly, keeping the two bookkeeping layers in lock-step.
+/// erases it explicitly. The policy's index is the pool's only record of
+/// which pages are resident, so OnInsert must CHECK that `page` is absent
+/// and OnErase that it is present.
 class ReplacementPolicy {
  public:
   virtual ~ReplacementPolicy() = default;
@@ -27,6 +29,9 @@ class ReplacementPolicy {
 
   /// `page` left the pool (eviction or external resize/drop).
   virtual void OnErase(PageId page) = 0;
+
+  /// Whether `page` is resident.
+  virtual bool Contains(PageId page) const = 0;
 
   /// The page the policy would evict next; nullopt if the pool is empty.
   virtual std::optional<PageId> ChooseVictim() = 0;

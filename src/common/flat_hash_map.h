@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -25,9 +26,9 @@ struct IntegralHash {
 };
 
 /// Open-addressing hash map with linear probing, used on the simulation's
-/// hottest id-keyed paths (heap position index, heat histories, reported
-/// heat) in place of std::unordered_map, which allocates one node per
-/// element and chases a pointer per probe.
+/// hottest id-keyed paths (heap slot index, page locations, heat
+/// histories, reported heat) in place of std::unordered_map, which
+/// allocates one node per element and chases a pointer per probe.
 ///
 ///  - power-of-two capacity, control byte per slot (empty / full /
 ///    tombstone), values stored inline;
@@ -67,10 +68,6 @@ class FlatHashMap {
    public:
     iterator(FlatHashMap* map, size_t index) : map_(map), index_(index) {
       SkipToFull();
-    }
-    std::pair<const K&, V&> operator*() const {
-      Slot& slot = map_->SlotAt(index_);
-      return {slot.key, slot.value};
     }
     const K& key() const { return map_->SlotAt(index_).key; }
     V& value() const { return map_->SlotAt(index_).value; }
@@ -146,8 +143,18 @@ class FlatHashMap {
     return 1;
   }
 
+  /// Removes `key` and returns its value, or nullopt if absent: Find and
+  /// Erase in one probe.
+  std::optional<V> Extract(const K& key) {
+    const size_t index = FindIndex(key);
+    if (index == kNotFound) return std::nullopt;
+    std::optional<V> value(std::move(SlotAt(index).value));
+    EraseAt(index);
+    return value;
+  }
+
   /// Erases the element at `it` and returns an iterator to the next
-  /// element. `it` must dereference to a live element.
+  /// element. `it` must point at a live element.
   iterator Erase(iterator it) {
     MEMGOAL_DCHECK(it.map_ == this && ctrl_[it.index_] == kFull);
     EraseAt(it.index_);
@@ -263,53 +270,6 @@ class FlatHashMap {
   size_t capacity_ = 0;
   size_t size_ = 0;
   size_t tombstones_ = 0;
-};
-
-/// Set adapter over FlatHashMap: same probing and tombstone behavior, keys
-/// only (the mapped byte is dead weight the padding already paid for).
-template <typename K, typename Hash = IntegralHash>
-class FlatHashSet {
- public:
-  size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-  void clear() { map_.clear(); }
-  void reserve(size_t n) { map_.reserve(n); }
-
-  bool Contains(const K& key) const { return map_.Contains(key); }
-
-  /// Inserts `key`; returns true if it was newly added.
-  bool Insert(const K& key) {
-    const size_t before = map_.size();
-    map_[key] = 0;
-    return map_.size() != before;
-  }
-
-  /// Removes `key` if present; returns the number of elements removed.
-  size_t Erase(const K& key) { return map_.Erase(key); }
-
-  class iterator {
-   public:
-    explicit iterator(typename FlatHashMap<K, char, Hash>::iterator it)
-        : it_(it) {}
-    const K& operator*() const { return it_.key(); }
-    iterator& operator++() {
-      ++it_;
-      return *this;
-    }
-    bool operator==(const iterator& other) const { return it_ == other.it_; }
-    bool operator!=(const iterator& other) const { return it_ != other.it_; }
-
-   private:
-    typename FlatHashMap<K, char, Hash>::iterator it_;
-  };
-
-  iterator begin() const { return iterator(map_.begin()); }
-  iterator end() const { return iterator(map_.end()); }
-
- private:
-  // Iteration is non-mutating but the underlying iterator is not const;
-  // the set exposes keys by const reference only.
-  mutable FlatHashMap<K, char, Hash> map_;
 };
 
 }  // namespace memgoal::common

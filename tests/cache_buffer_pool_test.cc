@@ -13,7 +13,7 @@ namespace {
 constexpr uint32_t kPage = 4096;
 
 BufferPool MakeLruPool(uint64_t capacity_bytes) {
-  return BufferPool("test", kPage, capacity_bytes, MakeLruPolicy());
+  return BufferPool(kPage, capacity_bytes, MakeLruPolicy());
 }
 
 TEST(BufferPoolTest, CapacityInFrames) {
@@ -88,7 +88,7 @@ TEST(BufferPoolTest, ShrinkToZeroDropsEverything) {
 
 TEST(BufferPoolTest, CostBasedAdmissionBouncesWeakPage) {
   std::map<PageId, double> benefit = {{1, 10.0}, {2, 20.0}, {3, 0.5}};
-  BufferPool pool("cb", kPage, 2 * kPage,
+  BufferPool pool(kPage, 2 * kPage,
                   MakeCostBasedPolicy([&](PageId p) { return benefit.at(p); }));
   EXPECT_TRUE(pool.Insert(1).inserted);
   EXPECT_TRUE(pool.Insert(2).inserted);
@@ -100,12 +100,41 @@ TEST(BufferPoolTest, CostBasedAdmissionBouncesWeakPage) {
   EXPECT_TRUE(pool.Contains(1));
   EXPECT_TRUE(pool.Contains(2));
   EXPECT_FALSE(pool.Contains(3));
+  EXPECT_EQ(pool.resident_pages(), 2u);
   // A strong page still displaces the weakest resident.
   benefit[4] = 15.0;
   auto r4 = pool.Insert(4);
   EXPECT_TRUE(r4.inserted);
   ASSERT_EQ(r4.evicted.size(), 1u);
   EXPECT_EQ(r4.evicted[0], 1u);
+  EXPECT_EQ(pool.resident_pages(), 2u);
+}
+
+// The policy's index is the pool's only record of residency: inserting a
+// resident page or erasing an absent one must still abort, under the list
+// and the heap policies alike.
+BufferPool MakeCostBasedPool(uint64_t capacity_bytes) {
+  return BufferPool(
+      kPage, capacity_bytes,
+      MakeCostBasedPolicy([](PageId p) { return static_cast<double>(p); }));
+}
+
+TEST(BufferPoolTest, InsertOfResidentPageAborts) {
+  BufferPool lru = MakeLruPool(2 * kPage);
+  lru.Insert(1);
+  EXPECT_DEATH(lru.Insert(1), "CHECK");
+  BufferPool cost_based = MakeCostBasedPool(2 * kPage);
+  cost_based.Insert(1);
+  EXPECT_DEATH(cost_based.Insert(1), "CHECK");
+}
+
+TEST(BufferPoolTest, EraseOfAbsentPageAborts) {
+  BufferPool lru = MakeLruPool(2 * kPage);
+  lru.Insert(1);
+  EXPECT_DEATH(lru.Erase(2), "CHECK");
+  BufferPool cost_based = MakeCostBasedPool(2 * kPage);
+  cost_based.Insert(1);
+  EXPECT_DEATH(cost_based.Erase(2), "CHECK");
 }
 
 TEST(BufferPoolTest, EraseRemovesWithoutEviction) {

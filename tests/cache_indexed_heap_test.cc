@@ -66,6 +66,49 @@ TEST(IndexedMinHeapTest, KeyOf) {
   EXPECT_DOUBLE_EQ(heap.KeyOf(1), 2.5);
 }
 
+TEST(IndexedMinHeapTest, DuplicateInsertAborts) {
+  IndexedMinHeap<int> heap;
+  heap.Insert(1, 1.0);
+  EXPECT_DEATH(heap.Insert(1, 2.0), "CHECK");
+}
+
+TEST(IndexedMinHeapTest, EraseOfAbsentIdAborts) {
+  IndexedMinHeap<int> heap;
+  heap.Insert(1, 1.0);
+  EXPECT_DEATH(heap.Erase(2), "CHECK");
+  heap.Erase(1);
+  EXPECT_DEATH(heap.Erase(1), "CHECK");
+}
+
+// An erase frees the entry's slot and the next insert takes it. A mark
+// left by the erased id must neither re-key the slot's new owner a second
+// time nor flag the erased id's own fresh re-insert.
+TEST(IndexedMinHeapTest, SlotReuseUnderStaleMarks) {
+  constexpr int kA = 1;
+  constexpr int kB = 2;
+  constexpr int kC = 3;
+  IndexedMinHeap<int> heap;
+  heap.Insert(kA, 10.0);
+  heap.Insert(kB, 20.0);
+  heap.MarkDirty(kA);
+  heap.Erase(kA);
+  heap.Insert(kC, 30.0);  // takes A's slot
+  heap.MarkDirty(kC);
+  heap.Insert(kA, 5.0);  // fresh, not dirty
+  std::vector<int> keyed;
+  const size_t repaired = heap.FlushDirty([&keyed](int id) {
+    keyed.push_back(id);
+    return 1.0;
+  });
+  EXPECT_EQ(repaired, 1u);
+  EXPECT_EQ(keyed, std::vector<int>{kC});
+  EXPECT_DOUBLE_EQ(heap.KeyOf(kA), 5.0);
+  EXPECT_DOUBLE_EQ(heap.KeyOf(kB), 20.0);
+  EXPECT_DOUBLE_EQ(heap.KeyOf(kC), 1.0);
+  EXPECT_EQ(heap.Peek().first, kC);
+  EXPECT_FALSE(heap.has_dirty());
+}
+
 // Property: under a random op sequence the heap always pops the exact
 // minimum of a reference map.
 class IndexedHeapPropertyTest : public ::testing::TestWithParam<int> {};

@@ -7,7 +7,8 @@
 #         -DFUZZ=<chaos_fuzz> -DCOMPARE=<bench_compare> \
 #         -DQUICKSTART=<quickstart> -DUPDATE=<update_workload> \
 #         -DSCALING=<now_scaling> -DDYNAMIC=<dynamic_goals> \
-#         -DMIX=<oltp_dss_mix> -P flag_errors_test.cmake
+#         -DMIX=<oltp_dss_mix> -DSCALING_BENCH=<bench_scaling> \
+#         -P flag_errors_test.cmake
 
 # expect(<error regex> <program> <args...>)
 function(expect pattern)
@@ -26,6 +27,12 @@ expect("intervals must be in 0..2147483647, got -1"
        ${FIG2} --quick --bench-json=off intervals=-1)
 expect("unknown flag --bogus-flag"
        ${FIG2} --quick --bench-json=off --bogus-flag)
+expect("error: grid must be NxK .*, got '256'"
+       ${SCALING_BENCH} --bench-json=off part=c grid=256)
+expect("error: grid must be NxK .*, got 'axb'"
+       ${SCALING_BENCH} --bench-json=off part=c grid=axb)
+expect("error: grid must be NxK .*, got '0x8'"
+       ${SCALING_BENCH} --bench-json=off part=c grid=0x8)
 expect("crash_at_ms must be a number, got soon"
        ${FAULTS} --quick --bench-json=off crash_at_ms=soon)
 expect("unknown flag --bogus-flag"
