@@ -8,6 +8,11 @@
 #include "baseline/static_controllers.h"
 #include "common/check.h"
 
+// The build's revision stamp (bench/git_describe.cmake); a build that
+// generates none, such as bench/suite's, reports "unknown".
+#if __has_include("memgoal_git_describe.h")
+#include "memgoal_git_describe.h"
+#endif
 #ifndef MEMGOAL_GIT_DESCRIBE
 #define MEMGOAL_GIT_DESCRIBE "unknown"
 #endif

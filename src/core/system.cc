@@ -277,8 +277,8 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
   net::Network& network = system_->network();
   const uint64_t target_epoch = system_->NodeEpoch(target);
   // Every Transfer result below is honored: a control or page message lost
-  // to a partition cut means silence, and the requester's phase timer turns
-  // silence into a timeout — exactly how it detects a dead peer.
+  // to a partition cut means silence, and the requester's phase deadline
+  // turns silence into a timeout — exactly how it detects a dead peer.
   if (via_home) {
     // The directory lives at the page's home: request there, home forwards
     // to the copy holder.
@@ -300,13 +300,13 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
   if (!system_->NodeUp(target) ||
       system_->NodeEpoch(target) != target_epoch ||
       !system_->directory().IsCachedAt(target, page)) {
-    // Dead, rebooted, or meanwhile evicted: silence; the timer fires.
+    // Dead, rebooted, or meanwhile evicted: silence; the deadline fires.
     co_return;
   }
   // The server verifies the frame before shipping it. A detected flaw is
-  // quarantined and answered with silence, so the requester's phase timer
-  // hedges to the next-ranked replica — RankedCopies *is* the repair
-  // steering for cached corruption.
+  // quarantined and answered with silence, so the requester's phase
+  // deadline hedges to the next-ranked replica — RankedCopies *is* the
+  // repair steering for cached corruption.
   const std::optional<storage::Flaw> flaw =
       system_->integrity().VerifyFrame(target, page);
   if (!flaw) co_return;
@@ -321,15 +321,8 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
   if (!state->delivered) {
     state->delivered = true;
     state->flaw = *flaw;
-    if (state->wake != nullptr) state->wake->Set();
+    state->Wake(&system_->simulator());
   }
-}
-
-sim::Task<void> Node::FetchPhaseTimer(std::shared_ptr<FetchState> state,
-                                      sim::Event* phase, sim::SimTime delay) {
-  co_await system_->simulator().Delay(delay);
-  phase->Set();  // idempotent: a no-op if a delivery already fired it
-  (void)state;   // held so the event outlives the requester
 }
 
 sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
@@ -401,15 +394,13 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
     if (probe != nullptr && phase > 0) {
       probe->Instant("hedge", system_->simulator().Now(), "target", target);
     }
-    state->phase_events.push_back(
-        std::make_unique<sim::Event>(&system_->simulator()));
-    sim::Event* event = state->phase_events.back().get();
-    state->wake = event;
     const bool via_home = home != id_ && target != home;
-    system_->simulator().Spawn(FetchAttempt(state, target, page, via_home));
-    system_->simulator().Spawn(
-        FetchPhaseTimer(state, event, config.crash_detect_timeout_ms));
-    co_await event->Wait();
+    sim::Simulator* const simulator = &system_->simulator();
+    simulator->Spawn(FetchAttempt(state, target, page, via_home));
+    // The phase deadline: a wake that lost to a delivery is a no-op.
+    simulator->Schedule(config.crash_detect_timeout_ms,
+                        [state, simulator] { state->Wake(simulator); });
+    co_await state->Wait();
     if (!state->delivered) {
       ++failed_attempts;
       system_->RecordFetchTimeout(target, config.crash_detect_timeout_ms);
@@ -419,7 +410,6 @@ sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
       }
     }
   }
-  state->wake = nullptr;
   if (probe != nullptr && max_attempts > 0) {
     probe->Span(obs::BudgetPhase::kFetchWait, state->started_ms,
                 system_->simulator().Now() - state->started_ms);
@@ -920,8 +910,7 @@ sim::Task<void> ClusterSystem::RunOperation(
   auto probe = MakeRequestProbe(node, budgeting ? &budget : nullptr);
   for (PageId page : pages) {
     co_await nodes_[node]->AccessPage(klass, page, probe ? &*probe : nullptr);
-    if (fault_injector_.epoch(node) != epoch ||
-        !fault_injector_.IsUp(node)) {
+    if (nodes_[node]->CrashedSince(epoch)) {
       // The node crashed under this operation: it fails (neither retried
       // nor counted completed).
       Accumulator(klass, node).failed++;

@@ -1,6 +1,7 @@
 #ifndef MEMGOAL_CORE_SYSTEM_H_
 #define MEMGOAL_CORE_SYSTEM_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -10,6 +11,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/cost_model.h"
@@ -32,7 +34,6 @@
 #include "sim/invariant_auditor.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
-#include "sim/sync.h"
 #include "sim/task.h"
 #include "storage/database.h"
 #include "storage/disk.h"
@@ -293,10 +294,11 @@ class Node {
  private:
   friend class ClusterSystem;
 
-  /// Shared state of one hedged remote fetch. The requester and its
-  /// spawned attempt/timer coroutines all hold the shared_ptr, so a late
-  /// timer or straggling attempt can never dangle; each hedging phase gets
-  /// its own one-shot event (stored here so it outlives the requester).
+  /// Shared state of one hedged remote fetch. The requester, its spawned
+  /// attempts and each phase's queued deadline all hold the shared_ptr, so
+  /// a late deadline or straggling attempt can never dangle. The requester
+  /// waits on the state itself: the first delivery or the phase deadline,
+  /// whichever comes first, resumes it.
   struct FetchState {
     sim::SimTime started_ms = 0.0;
     /// Some attempt delivered the page.
@@ -306,23 +308,34 @@ class Node {
     /// propagates into the requester's frame), kDetectable only under the
     /// kSkipVerify injected bug.
     storage::Flaw flaw = storage::Flaw::kNone;
-    /// Event the requester currently waits on; attempts fire it on
-    /// delivery. Null once the requester stopped waiting.
-    sim::Event* wake = nullptr;
-    /// At most one event per hedging phase (max_attempts <= 2), inline.
-    common::InlineVector<std::unique_ptr<sim::Event>, 2> phase_events;
+    /// The requester while it waits; empty otherwise.
+    std::coroutine_handle<> waiter;
+
+    /// Resumes the waiting requester, if any, through the event queue; a
+    /// no-op when nobody waits (a deadline that lost to a delivery).
+    void Wake(sim::Simulator* simulator) {
+      if (waiter) simulator->ScheduleResume(0.0, std::exchange(waiter, {}));
+    }
+    /// Awaitable: suspends until the next Wake (ready once delivered). It
+    /// holds a pointer because GCC 12 copies the operand of `co_await
+    /// *state` into the frame, and a handle stored in that copy is lost.
+    auto Wait() {
+      struct Awaiter {
+        FetchState* state;
+        bool await_ready() const noexcept { return state->delivered; }
+        void await_suspend(std::coroutine_handle<> h) { state->waiter = h; }
+        void await_resume() const noexcept {}
+      };
+      return Awaiter{this};
+    }
   };
 
   /// One fetch attempt against `target`'s cached copy: control message(s),
   /// liveness/epoch/eviction checks, page transfer, health-score report.
   /// Returns silently when the target (or the forwarding home) is dead —
-  /// the requester's phase timer turns that silence into a timeout.
+  /// the requester's phase deadline turns that silence into a timeout.
   sim::Task<void> FetchAttempt(std::shared_ptr<FetchState> state,
                                NodeId target, PageId page, bool via_home);
-
-  /// Fires `phase` after `delay`; holds `state` so the event stays alive.
-  sim::Task<void> FetchPhaseTimer(std::shared_ptr<FetchState> state,
-                                  sim::Event* phase, sim::SimTime delay);
 
   /// Resets the node's volatile heat bookkeeping after a crash (the cache
   /// itself is wiped via NodeCache::Clear). Tracker objects are reassigned
@@ -563,7 +576,7 @@ class ClusterSystem {
   /// so the sample is pessimistically inflated instead of discarded.
   void RecordFetchTimeout(NodeId node, double waited_ms);
   /// Moves the score a step back toward the healthy baseline (forgiveness
-  /// after a recovery or a lifted degradation episode).
+  /// once a degradation episode lifts).
   void DecayHealth(NodeId node);
   /// Re-anchors the score at the healthy baseline outright. Used when the
   /// past samples describe a machine that no longer exists: a rebooted node

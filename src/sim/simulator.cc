@@ -75,18 +75,13 @@ bool Simulator::StepOne() {
   return true;
 }
 
-bool Simulator::Step() {
+uint64_t Simulator::Run() {
   // Event dispatch is the simulation's outermost hot path: everything a
   // run does (coroutine resumptions included) happens inside some event,
   // so deeper phases nest under this scope in the folded stacks. The scope
   // wraps whole run loops rather than individual events — sim.step totals
   // still cover all dispatch wall time, at a handful of clock reads per
   // run instead of two per event.
-  obs::ProfileScope profile(obs::Phase::kSimStep);
-  return StepOne();
-}
-
-uint64_t Simulator::Run() {
   obs::ProfileScope profile(obs::Phase::kSimStep);
   uint64_t processed = 0;
   while (StepOne()) ++processed;

@@ -113,9 +113,6 @@ class Simulator {
   /// the queue drains earlier. Returns the number of events processed.
   uint64_t RunUntil(SimTime until);
 
-  /// Processes a single event if one exists. Returns false on empty queue.
-  bool Step();
-
   uint64_t events_processed() const { return events_processed_; }
   size_t pending_events() const { return queue_.size(); }
 
@@ -133,8 +130,8 @@ class Simulator {
   }
 
   /// Pops and dispatches the earliest event without opening a profile
-  /// scope; Run/RunUntil/Step wrap it (sim.step is accounted per run loop,
-  /// not per event, so profiling overhead stays off the dispatch path).
+  /// scope; Run/RunUntil wrap it (sim.step is accounted per run loop, not
+  /// per event, so profiling overhead stays off the dispatch path).
   bool StepOne();
 
   static void OnRootDone(void* context, internal::PromiseBase* promise);
