@@ -58,6 +58,7 @@
 #include "core/goal_controller.h"
 #include "net/network.h"
 #include "obs/attainment.h"
+#include "obs/decision_log.h"
 #include "sim/invariant_auditor.h"
 
 namespace memgoal::bench {
@@ -75,15 +76,15 @@ struct OutageRow {
   uint64_t miss_cards_node_down = 0;
 };
 
-// Counts the goal class's miss cards whose fault snapshot satisfies `pred`
-// — the root-cause report's attribution of a goal miss to the injected
-// fault, which each mode's gate requires to fire at least once.
+// Counts the goal class's decision records whose miss card's fault
+// snapshot satisfies `pred` — the root-cause report's attribution of a goal
+// miss to the injected fault, which each mode's gate requires to fire at
+// least once.
 template <typename Pred>
-uint64_t CountAttributedMisses(const obs::AttainmentTracker& attainment,
-                               Pred pred) {
+uint64_t CountAttributedMisses(const obs::DecisionLog& log, Pred pred) {
   uint64_t count = 0;
-  for (const obs::AttainmentTracker::MissCard& card : attainment.cards()) {
-    if (card.klass == 1 && pred(card)) ++count;
+  for (const obs::DecisionRecord& record : log.records()) {
+    if (record.miss_card && record.klass == 1 && pred(record)) ++count;
   }
   return count;
 }
@@ -131,6 +132,8 @@ int RunGray(double degrade_at, double duration, const Setup& base,
         obs::AttainmentTracker attainment;
         attainment.Enable(true);
         system->SetAttainment(&attainment);
+        obs::DecisionLog decisions;
+        system->SetDecisionLog(&decisions);
         system->SetGoal(1, goal);
 
         const double interval_ms = setup.observation_interval_ms;
@@ -209,8 +212,8 @@ int RunGray(double degrade_at, double duration, const Setup& base,
         row.victim_disk_busy_p99 = disk.BusyQuantile(0.99);
         row.victim_disk_wait_p99 = disk.WaitQuantile(0.99);
         row.miss_cards_degraded = CountAttributedMisses(
-            attainment, [](const obs::AttainmentTracker::MissCard& card) {
-              return card.nodes_degraded > 0;
+            decisions, [](const obs::DecisionRecord& record) {
+              return record.miss_nodes_degraded > 0;
             });
         return row;
       });
@@ -318,6 +321,8 @@ int RunPartition(double cut_at, const Setup& base, double goal,
         obs::AttainmentTracker attainment;
         attainment.Enable(true);
         system->SetAttainment(&attainment);
+        obs::DecisionLog decisions;
+        system->SetDecisionLog(&decisions);
         system->SetGoal(1, goal);
 
         const double interval_ms = setup.observation_interval_ms;
@@ -377,8 +382,8 @@ int RunPartition(double cut_at, const Setup& base, double goal,
         row.stale_rejected = system->grants_rejected_stale_epoch();
         row.audit_violations = auditor.violations_found();
         row.miss_cards_partitioned = CountAttributedMisses(
-            attainment, [](const obs::AttainmentTracker::MissCard& card) {
-              return card.partitioned;
+            decisions, [](const obs::DecisionRecord& record) {
+              return record.miss_partitioned;
             });
         return row;
       });
@@ -493,6 +498,8 @@ int RunCorrupt(const Setup& base, double goal, int intervals,
         obs::AttainmentTracker attainment;
         attainment.Enable(true);
         system->SetAttainment(&attainment);
+        obs::DecisionLog decisions;
+        system->SetDecisionLog(&decisions);
         system->SetGoal(1, goal);
 
         const int tail_first = intervals - kGrayTail;
@@ -529,8 +536,8 @@ int RunCorrupt(const Setup& base, double goal, int intervals,
         row.ladders_open = ledger.ladders_open;
         row.audit_violations = auditor.violations_found();
         row.miss_cards_corrupt = CountAttributedMisses(
-            attainment, [](const obs::AttainmentTracker::MissCard& card) {
-              return card.corruptions > 0;
+            decisions, [](const obs::DecisionRecord& record) {
+              return record.miss_corruptions > 0;
             });
         return row;
       });
@@ -609,8 +616,8 @@ int RunCorrupt(const Setup& base, double goal, int intervals,
     ok = false;
   }
   // Root-cause attribution gate: at least one goal miss must land while
-  // corruptions accrued since the previous check — the miss card's fault
-  // snapshot ties the miss to the active bit-rot process.
+  // corruptions accrued since the class's previous measured check — the
+  // miss card's fault snapshot ties the miss to the active bit-rot process.
   if (worst.miss_cards_corrupt == 0) {
     std::printf("# FAIL: no goal miss attributed to the corruption process "
                 "(miss_cards_corrupt=0)\n");
@@ -728,6 +735,8 @@ int Run(int argc, char** argv) {
         obs::AttainmentTracker attainment;
         attainment.Enable(true);
         system->SetAttainment(&attainment);
+        obs::DecisionLog decisions;
+        system->SetDecisionLog(&decisions);
         system->SetGoal(1, goal);
 
         const double interval_ms = setup.observation_interval_ms;
@@ -781,8 +790,8 @@ int Run(int argc, char** argv) {
         row.store_resets = controller.stats().store_resets;
         row.suppressed_crashes = system->fault_injector().stats().suppressed;
         row.miss_cards_node_down = CountAttributedMisses(
-            attainment, [](const obs::AttainmentTracker::MissCard& card) {
-              return card.nodes_down > 0;
+            decisions, [](const obs::DecisionRecord& record) {
+              return record.miss_nodes_down > 0;
             });
         return row;
       });

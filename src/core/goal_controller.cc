@@ -541,6 +541,12 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
       ++stats_.nonfinite_observations_rejected;
     }
   }
+  // Corruption strikes since the class's previous measured check, for the
+  // miss card.
+  const sim::FaultInjector& injector = system_->fault_injector();
+  const uint64_t strikes = injector.stats().corruptions;
+  const uint64_t strikes_since_check = strikes - coordinator->strikes_at_check;
+  coordinator->strikes_at_check = strikes;
   record.observed_rt_k = *rt_k;
   record.has_observed_rt_0 = rt_0.has_value();
   record.observed_rt_0 = rt_0.value_or(0.0);
@@ -566,20 +572,16 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
   if (too_fast && current_total == 0) co_return;
   ++stats_.violations;
   if (too_slow && attainment != nullptr) {
-    // Goal miss: join the last interval's budget attribution with the
-    // cluster's active fault state into a root-cause card, written into the
-    // record so it replays from the log.
-    const sim::FaultInjector& injector = system_->fault_injector();
-    obs::AttainmentTracker::FaultState faults;
-    faults.nodes_down = config.num_nodes - injector.nodes_up();
+    // Goal miss: a root-cause card in the record, so it replays from the
+    // log. The tracker joins the last interval's budget attribution and the
+    // baseline; the cluster's active fault state is read here.
+    attainment->RecordMiss(&record);
+    record.miss_nodes_down = config.num_nodes - injector.nodes_up();
     for (uint32_t i = 0; i < config.num_nodes; ++i) {
-      if (injector.IsDegraded(i)) ++faults.nodes_degraded;
+      if (injector.IsDegraded(i)) ++record.miss_nodes_degraded;
     }
-    faults.partitioned = injector.Partitioned();
-    faults.partition_epoch = injector.partition_epoch();
-    faults.corruptions_since_last_check = attainment->NoteCorruptions(
-        coordinator->klass, injector.stats().corruptions);
-    attainment->RecordMiss(&record, faults);
+    record.miss_partitioned = injector.Partitioned();
+    record.miss_corruptions = strikes_since_check;
   }
   coordinator->consecutive_slow = too_slow ? coordinator->consecutive_slow + 1
                                            : 0;

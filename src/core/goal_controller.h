@@ -152,6 +152,9 @@ class GoalOrientedController final : public Controller {
     /// (crash/recovery/partition/epoch change): the LP shape or operating
     /// point moved, so the old basis is stale.
     la::SimplexBasis lp_warm_basis;
+    /// The fault injector's cumulative corruption-strike count at this
+    /// class's last measured check.
+    uint64_t strikes_at_check = 0;
   };
 
   /// Last values each agent sent, for the significant-change filter.

@@ -91,14 +91,7 @@ void AttainmentTracker::OnIntervalEnd(int interval, double sim_time_ms,
 
 void AttainmentTracker::RecordCheck(const DecisionRecord& record) {
   if (!enabled_) return;
-  const auto klass = static_cast<uint32_t>(record.klass);
-  SloState& state = slo_[klass];
-  ++state.checks;
-  const size_t rung_slot = static_cast<size_t>(record.relaxed_rung + 1);
-  if (state.rung_checks.size() <= rung_slot) {
-    state.rung_checks.resize(rung_slot + 1, 0);
-  }
-  ++state.rung_checks[rung_slot];
+  SloState& state = slo_[static_cast<uint32_t>(record.klass)];
   // A check that measured the class (goal_rt stays 0 otherwise) and did not
   // find it too slow — the controller's own comparison — refreshes the
   // converged baseline the next miss is compared against.
@@ -109,79 +102,45 @@ void AttainmentTracker::RecordCheck(const DecisionRecord& record) {
       state.baseline_rts.pop_front();
     }
   }
-  if (!record.miss_card) return;
-  for (auto it = cards_.rbegin(); it != cards_.rend(); ++it) {
-    if (it->klass != klass || it->interval != record.interval) continue;
-    it->lp_run = record.lp_run;
-    it->lp_mode = record.lp_mode;
-    it->relaxed_rung = record.relaxed_rung;
-    return;
-  }
 }
 
-void AttainmentTracker::RecordMiss(DecisionRecord* record,
-                                   const FaultState& faults) {
-  MissCard card;
-  card.interval = record->interval;
-  card.sim_time_ms = record->sim_time_ms;
-  card.klass = static_cast<uint32_t>(record->klass);
-  card.observed_rt_ms = record->observed_rt_k;
-  card.goal_rt_ms = record->goal_rt;
-  card.tolerance_ms = record->tolerance_delta;
-
-  const SloState& state = slo_[card.klass];
+void AttainmentTracker::RecordMiss(DecisionRecord* record) {
+  const auto klass = static_cast<uint32_t>(record->klass);
+  SloState& state = slo_[klass];
+  double baseline_rt = 0.0;
   if (!state.baseline_rts.empty()) {
     double sum = 0.0;
     for (double rt : state.baseline_rts) sum += rt;
-    card.baseline_rt_ms = sum / static_cast<double>(state.baseline_rts.size());
+    baseline_rt = sum / static_cast<double>(state.baseline_rts.size());
   }
-  card.deviation_ms = card.observed_rt_ms - card.baseline_rt_ms;
+  record->miss_baseline_rt = baseline_rt;
+  record->miss_deviation_ms = record->observed_rt_k - baseline_rt;
 
-  const auto it = last_interval_.find(card.klass);
+  // Without a finalized budget for the class the card names the residual
+  // phase, at 0 ms.
+  record->miss_phase_ms.assign(kNumBudgetPhases, 0.0);
+  int dominant = static_cast<int>(BudgetPhase::kResidual);
+  const auto it = last_interval_.find(klass);
   if (it != last_interval_.end() && it->second.requests > 0) {
     const double n = static_cast<double>(it->second.requests);
     for (int i = 0; i < kNumBudgetPhases; ++i) {
-      card.phase_mean_ms[i] = it->second.phase_ms[i] / n;
+      record->miss_phase_ms[i] = it->second.phase_ms[i] / n;
     }
     // Dominant phase: largest mean share; first in enum order wins ties so
     // the card is deterministic.
-    int best = 0;
+    dominant = 0;
     for (int i = 1; i < kNumBudgetPhases; ++i) {
-      if (card.phase_mean_ms[i] > card.phase_mean_ms[best]) best = i;
+      if (record->miss_phase_ms[i] > record->miss_phase_ms[dominant]) {
+        dominant = i;
+      }
     }
-    card.dominant_phase = static_cast<BudgetPhase>(best);
-    card.dominant_ms = card.phase_mean_ms[best];
   }
-
-  card.nodes_down = faults.nodes_down;
-  card.nodes_degraded = faults.nodes_degraded;
-  card.partitioned = faults.partitioned;
-  card.partition_epoch = faults.partition_epoch;
-  card.corruptions = faults.corruptions_since_last_check;
-
   record->miss_card = true;
-  record->miss_dominant_phase = BudgetPhaseName(card.dominant_phase);
-  record->miss_dominant_ms = card.dominant_ms;
-  record->miss_phase_ms.assign(card.phase_mean_ms,
-                               card.phase_mean_ms + kNumBudgetPhases);
-  record->miss_baseline_rt = card.baseline_rt_ms;
-  record->miss_deviation_ms = card.deviation_ms;
-  record->miss_nodes_down = card.nodes_down;
-  record->miss_nodes_degraded = card.nodes_degraded;
-  record->miss_partitioned = card.partitioned;
-  record->miss_corruptions = card.corruptions;
-  cards_.push_back(std::move(card));
-}
-
-uint64_t AttainmentTracker::NoteCorruptions(uint32_t klass,
-                                            uint64_t cumulative_corruptions) {
-  SloState& state = slo_[klass];
-  const uint64_t since =
-      cumulative_corruptions >= state.last_corruptions
-          ? cumulative_corruptions - state.last_corruptions
-          : 0;
-  state.last_corruptions = cumulative_corruptions;
-  return since;
+  record->miss_dominant_phase =
+      BudgetPhaseName(static_cast<BudgetPhase>(dominant));
+  record->miss_dominant_ms = record->miss_phase_ms[dominant];
+  ++state.miss_phases[dominant];
+  ++misses_recorded_;
 }
 
 double AttainmentTracker::BurnRate(const SloState& state, int window) {
@@ -233,7 +192,7 @@ void AttainmentTracker::PublishTo(Registry* registry) const {
     std::snprintf(name, sizeof(name), "class%u.slo.oscillations", klass);
     registry->GetCounter(name)->Set(state.oscillations);
   }
-  registry->GetCounter("attainment.miss_cards")->Set(cards_.size());
+  registry->GetCounter("attainment.miss_cards")->Set(misses_recorded_);
   registry->GetCounter("attainment.requests")->Set(requests_recorded_);
 }
 
@@ -277,46 +236,6 @@ void AttainmentTracker::WriteJsonl(std::FILE* out) const {
     line += "}\n";
     std::fwrite(line.data(), 1, line.size(), out);
   }
-  for (const MissCard& card : cards_) {
-    line.clear();
-    char head[320];
-    std::snprintf(head, sizeof(head),
-                  "{\"type\":\"miss_card\",\"interval\":%d,\"class\":%u,"
-                  "\"dominant_phase\":\"%s\",\"nodes_down\":%" PRIu64
-                  ",\"nodes_degraded\":%" PRIu64 ",\"partitioned\":%s"
-                  ",\"partition_epoch\":%" PRIu64 ",\"corruptions\":%" PRIu64
-                  ",\"lp_run\":%s,\"lp_mode\":\"%s\",\"relaxed_rung\":%d",
-                  card.interval, card.klass,
-                  BudgetPhaseName(card.dominant_phase), card.nodes_down,
-                  card.nodes_degraded, card.partitioned ? "true" : "false",
-                  card.partition_epoch, card.corruptions,
-                  card.lp_run ? "true" : "false", card.lp_mode.c_str(),
-                  card.relaxed_rung);
-    line += head;
-    AppendKey(&line, "sim_time_ms");
-    AppendDouble(&line, card.sim_time_ms);
-    AppendKey(&line, "observed_rt_ms");
-    AppendDouble(&line, card.observed_rt_ms);
-    AppendKey(&line, "goal_rt_ms");
-    AppendDouble(&line, card.goal_rt_ms);
-    AppendKey(&line, "tolerance_ms");
-    AppendDouble(&line, card.tolerance_ms);
-    AppendKey(&line, "baseline_rt_ms");
-    AppendDouble(&line, card.baseline_rt_ms);
-    AppendKey(&line, "deviation_ms");
-    AppendDouble(&line, card.deviation_ms);
-    AppendKey(&line, "dominant_ms");
-    AppendDouble(&line, card.dominant_ms);
-    for (int i = 0; i < kNumBudgetPhases; ++i) {
-      char key[48];
-      std::snprintf(key, sizeof(key), "mean_%s_ms",
-                    BudgetPhaseName(static_cast<BudgetPhase>(i)));
-      AppendKey(&line, key);
-      AppendDouble(&line, card.phase_mean_ms[i]);
-    }
-    line += "}\n";
-    std::fwrite(line.data(), 1, line.size(), out);
-  }
 }
 
 void AttainmentTracker::WriteCsv(std::FILE* out) const {
@@ -355,15 +274,17 @@ void AttainmentTracker::WriteSummary(std::FILE* out) const {
                  state.oscillations);
   }
   // Miss-card digest: dominant phase histogram per class.
-  std::map<uint32_t, std::map<int, uint64_t>> by_phase;
-  for (const MissCard& card : cards_) {
-    ++by_phase[card.klass][static_cast<int>(card.dominant_phase)];
-  }
-  for (const auto& [klass, phases] : by_phase) {
+  for (const auto& [klass, state] : slo_) {
+    if (std::none_of(state.miss_phases, state.miss_phases + kNumBudgetPhases,
+                     [](uint64_t count) { return count > 0; })) {
+      continue;
+    }
     std::fprintf(out, "# miss cards class %u:", klass);
-    for (const auto& [phase, count] : phases) {
+    for (int i = 0; i < kNumBudgetPhases; ++i) {
+      if (state.miss_phases[i] == 0) continue;
       std::fprintf(out, " %s=%" PRIu64,
-                   BudgetPhaseName(static_cast<BudgetPhase>(phase)), count);
+                   BudgetPhaseName(static_cast<BudgetPhase>(i)),
+                   state.miss_phases[i]);
     }
     std::fputc('\n', out);
   }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "obs/decision_log.h"
@@ -35,10 +34,11 @@ class Registry;
 ///     error-budget consumption against an allowed miss fraction, and
 ///     fast/slow-window burn rates over observation intervals, plus
 ///     convergence diagnostics (allocation oscillation count,
-///     intervals-since-last-miss, LP relaxation-rung residency).
-///  3. Miss cards: on each missed coordinator check the caller joins the
-///     latest budget row with the check's decision record and the active
-///     fault state into a structured root-cause card.
+///     intervals-since-last-miss).
+///  3. Miss cards: on each missed coordinator check the tracker joins the
+///     last finalized budget with the converged baseline in the check's
+///     decision record, the only place a card lives; the controller adds
+///     the active fault state.
 class AttainmentTracker {
  public:
   /// Allowed goal-miss fraction the error budget is charged against.
@@ -95,65 +95,18 @@ class AttainmentTracker {
 
   // -- Controller feed ------------------------------------------------------
 
-  /// Folds one finished coordinator check into its class's SLO state: the
-  /// relaxation-rung residency and, when the check measured the class
-  /// within its band, the converged baseline. The LP outcome is known only
-  /// now, so the miss card the check recorded (if any) takes its
-  /// lp_run/lp_mode/relaxed_rung from the record here. Fed from the goal
-  /// controller on every check exit path, whether or not a decision log is
-  /// attached.
+  /// Folds one finished coordinator check into its class's SLO state: a
+  /// check that measured the class within its band refreshes the converged
+  /// baseline. Fed from the goal controller on every check exit path,
+  /// whether or not a decision log is attached.
   void RecordCheck(const DecisionRecord& record);
 
-  // -- Miss cards -----------------------------------------------------------
-
-  /// Cluster fault state at miss time, read from the fault injector.
-  struct FaultState {
-    uint64_t nodes_down = 0;
-    uint64_t nodes_degraded = 0;
-    bool partitioned = false;
-    uint64_t partition_epoch = 0;
-    /// Corruption strikes injected since the previous check of this class.
-    uint64_t corruptions_since_last_check = 0;
-  };
-
-  /// Structured root cause of one missed goal check.
-  struct MissCard {
-    int interval = 0;
-    double sim_time_ms = 0.0;
-    uint32_t klass = 0;
-    double observed_rt_ms = 0.0;
-    double goal_rt_ms = 0.0;
-    double tolerance_ms = 0.0;
-    /// Mean over the last kBaselineWindow satisfied checks (0 when the
-    /// class never satisfied a check yet).
-    double baseline_rt_ms = 0.0;
-    double deviation_ms = 0.0;
-    /// Per-request mean budget of the last finalized interval, and the
-    /// phase that dominated it.
-    double phase_mean_ms[kNumBudgetPhases] = {};
-    BudgetPhase dominant_phase = BudgetPhase::kResidual;
-    double dominant_ms = 0.0;
-    // Coincident faults.
-    uint64_t nodes_down = 0;
-    uint64_t nodes_degraded = 0;
-    bool partitioned = false;
-    uint64_t partition_epoch = 0;
-    uint64_t corruptions = 0;
-    // Controller state.
-    bool lp_run = false;
-    std::string lp_mode;
-    int relaxed_rung = -1;
-  };
-
-  /// Builds and stores the miss card of a check found too slow, from the
-  /// record's measurement stage (interval, class, observed RT, goal,
-  /// tolerance) and `faults`, and writes the card into the record's miss_*
-  /// fields. Called at detection, before the check's LP runs.
-  void RecordMiss(DecisionRecord* record, const FaultState& faults);
-
-  /// Cumulative corruption-strike total at the last check of `klass`
-  /// (helper for computing corruptions_since_last_check deterministically).
-  uint64_t NoteCorruptions(uint32_t klass, uint64_t cumulative_corruptions);
+  /// Writes the miss card of a check found too slow into the record's
+  /// miss_* fields: the last finalized interval's per-request mean budget
+  /// and its dominant phase, and the deviation of the record's observed RT
+  /// from the converged baseline. The fault snapshot is the controller's
+  /// to write. Called at detection, before the check's LP runs.
+  void RecordMiss(DecisionRecord* record);
 
   // -- Export ---------------------------------------------------------------
 
@@ -162,16 +115,17 @@ class AttainmentTracker {
   /// interval before the registry snapshot.
   void PublishTo(Registry* registry) const;
 
-  /// One JSON object per budget row, then one per miss card
-  /// (`"type":"miss_card"`). Doubles use %.17g so rows round-trip exactly.
+  /// One JSON object per budget row. Doubles use %.17g so rows round-trip
+  /// exactly.
   void WriteJsonl(std::FILE* out) const;
-  /// Budget rows only, long-format CSV.
+  /// The same rows, long-format CSV.
   void WriteCsv(std::FILE* out) const;
   /// Human-readable per-class attainment + miss summary (end of run).
   void WriteSummary(std::FILE* out) const;
 
   const std::vector<BudgetRow>& rows() const { return rows_; }
-  const std::vector<MissCard>& cards() const { return cards_; }
+  /// Miss cards written by RecordMiss, over all classes.
+  uint64_t misses_recorded() const { return misses_recorded_; }
   uint64_t requests_recorded() const { return requests_recorded_; }
   /// Largest |response_ms - budget.Sum()| seen by RecordRequest: the
   /// closed-budget property the tests gate at 1e-9.
@@ -192,11 +146,8 @@ class AttainmentTracker {
     bool has_last_bytes = false;
     /// Converged baseline: last kBaselineWindow satisfied-check RTs.
     std::deque<double> baseline_rts;
-    /// LP relaxation-rung residency over checks (rung+1 indexed; [0] = no
-    /// relaxation).
-    std::vector<uint64_t> rung_checks;
-    uint64_t checks = 0;
-    uint64_t last_corruptions = 0;
+    /// Miss cards by dominant budget phase, in BudgetPhase order.
+    uint64_t miss_phases[kNumBudgetPhases] = {};
   };
   /// Per-class SLO state (tests); classes appear once observed.
   const std::map<uint32_t, SloState>& slo() const { return slo_; }
@@ -217,12 +168,12 @@ class AttainmentTracker {
   // deterministic flush order.
   std::map<uint64_t, Accum> current_;
   std::vector<BudgetRow> rows_;
-  std::vector<MissCard> cards_;
   std::map<uint32_t, SloState> slo_;
   // Last finalized interval's per-class budget (summed over nodes), the
   // miss card's attribution source.
   std::map<uint32_t, Accum> last_interval_;
   uint64_t requests_recorded_ = 0;
+  uint64_t misses_recorded_ = 0;
   double max_sum_error_ = 0.0;
 };
 

@@ -107,10 +107,11 @@ struct DecisionRecord {
   /// What the nodes actually granted (ack'd views).
   std::vector<double> granted_allocation;
 
-  // Goal-miss root-cause card, written by AttainmentTracker::RecordMiss.
-  // Optional: serialized only when miss_card is true, and parsed leniently
-  // so records written before the attainment layer — or by runs without
-  // the tracker — still round-trip.
+  // Goal-miss root-cause card, the only copy of it: AttainmentTracker::
+  // RecordMiss writes the budget join and the baseline, the goal controller
+  // the fault snapshot. Optional: serialized only when miss_card is true,
+  // and parsed leniently so records written before the attainment layer —
+  // or by runs without the tracker — still round-trip.
   bool miss_card = false;
   /// Dominant budget phase of the last finalized interval ("disk_wait",
   /// "fetch_wait", ...; see obs/latency_budget.h).
@@ -126,6 +127,7 @@ struct DecisionRecord {
   uint64_t miss_nodes_down = 0;
   uint64_t miss_nodes_degraded = 0;
   bool miss_partitioned = false;
+  /// Corruption strikes injected since the class's previous measured check.
   uint64_t miss_corruptions = 0;
 
   /// Single-line JSON object (no trailing newline).

@@ -324,8 +324,8 @@ std::optional<ScenarioRun> RunReproRoundTrip() {
 }
 
 // Stochastic crashes on the small busy cluster with the attainment
-// tracker enabled: budget rows, miss cards and the decision records they
-// annotate.
+// tracker enabled: its budget rows, and the miss cards in the decision
+// records.
 std::optional<ScenarioRun> RunTrackedCrashingCluster() {
   obs::AttainmentTracker tracker;
   tracker.Enable(true);
@@ -366,8 +366,8 @@ TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
   const auto text = [](const std::string& body) {
     return [body] { return RunScenarioText(body); };
   };
-  // A scenario file with the attainment tracker enabled: its miss cards
-  // and the decision records they annotate.
+  // A scenario file with the attainment tracker enabled: its budget rows,
+  // and the miss cards in the decision records.
   const auto tracked_file = [](const std::string& name,
                                const std::string& overrides) {
     return [name, overrides] {
@@ -425,13 +425,13 @@ TEST(ScenarioGolden, RunDigestsMatchPinnedTable) {
             "corrupt_node=1\ncorrupt_at_ms=1500\ncorrupt_count=3\n"
             "corrupt_salt=9\nscrub=idle\nscrub_interval_ms=500\naudit=1\n")},
       {"crashing+attainment", 0x9ce540ec09b15c78ull, 0x02db7d9e55335c60ull,
-       0x862a952f5f7a85e8ull, 88822,
+       0xf941d915cbc4c98eull, 88822,
        RunTrackedCrashingCluster},
       {"variance+attainment", 0x1028c23c66117a92ull, 0x3f29c0ad371aea7cull,
-       0x9abee8247249687cull, 515643,
+       0xd6ac6ef738dd51b4ull, 515643,
        tracked_file("base.conf", "objective=variance\nintervals=20\n")},
       {"partition+attainment", 0x2310f952cac1c2daull, 0x8594485f3d532588ull,
-       0x81c8e42273df140eull, 858206,
+       0x71bc354f778c9a36ull, 858206,
        tracked_file("partition.conf", "intervals=34\n")},
   };
   for (const Golden& golden : goldens) {
@@ -525,8 +525,9 @@ TEST(ScenarioBitExactness, TracingBesideAttainmentTrackingIsBitExact) {
 
 TEST(ScenarioBitExactness, AttainmentExportsDoNotNeedTheDecisionLog) {
   // The tracker reads every coordinator check whether or not a decision
-  // log is attached: a tracked run without a log must export the same
-  // budget rows and miss cards, byte for byte, as the same run with one.
+  // log is attached: a tracked run without a log must count as many miss
+  // cards and export the same budget rows, byte for byte, as the same run
+  // with one.
   const std::string text = CrashingCluster();
   obs::AttainmentTracker logged_tracker;
   logged_tracker.Enable(true);
@@ -538,11 +539,54 @@ TEST(ScenarioBitExactness, AttainmentExportsDoNotNeedTheDecisionLog) {
       text, &unlogged_tracker, /*tracer=*/nullptr, /*log_decisions=*/false);
   ASSERT_TRUE(logged.has_value() && unlogged.has_value());
   EXPECT_TRUE(unlogged->decision_jsonl.empty());
-  EXPECT_FALSE(logged_tracker.cards().empty());
+  EXPECT_GT(logged_tracker.misses_recorded(), 0u);
+  EXPECT_EQ(logged_tracker.misses_recorded(),
+            unlogged_tracker.misses_recorded());
   EXPECT_EQ(logged->events, unlogged->events);
   EXPECT_EQ(logged->metrics_csv, unlogged->metrics_csv);
   EXPECT_EQ(logged->attainment_jsonl, unlogged->attainment_jsonl);
   EXPECT_EQ(logged->attainment_csv, unlogged->attainment_csv);
+}
+
+TEST(MissCardFaults, CorruptionsCountStrikesSinceThePreviousMeasuredCheck) {
+  // A miss card's miss_corruptions counts the strikes injected since the
+  // class's previous measured check, whether that check missed or not.
+  std::optional<core::Scenario> scenario =
+      ParseScenario(ScenarioFile("corrupt.conf") + "\nintervals=20\n");
+  ASSERT_TRUE(scenario.has_value());
+  core::ClusterSystem system(scenario->system);
+  for (const workload::ClassSpec& spec : scenario->classes) {
+    system.AddClass(spec);
+  }
+  obs::AttainmentTracker tracker;
+  tracker.Enable(true);
+  system.SetAttainment(&tracker);
+  obs::DecisionLog decision_log;
+  system.SetDecisionLog(&decision_log);
+  // Cumulative strikes at each interval boundary, by interval; the
+  // interval's coordinator check runs 1 ms later.
+  std::vector<uint64_t> strikes;
+  system.SetIntervalCallback([&](const core::IntervalRecord& record) {
+    ASSERT_EQ(static_cast<size_t>(record.index), strikes.size());
+    strikes.push_back(system.fault_injector().stats().corruptions);
+  });
+  system.Start();
+  system.RunIntervals(scenario->intervals);
+
+  int misses = 0;
+  uint64_t strikes_at_check = 0;
+  for (const obs::DecisionRecord& record : decision_log.records()) {
+    if (record.klass != 1 || record.goal_rt == 0.0) continue;  // unmeasured
+    const uint64_t now = strikes.at(static_cast<size_t>(record.interval));
+    if (record.miss_card) {
+      ++misses;
+      EXPECT_EQ(record.miss_corruptions, now - strikes_at_check)
+          << "the miss at interval " << record.interval;
+    }
+    strikes_at_check = now;
+  }
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(strikes.back(), 0u);
 }
 
 }  // namespace

@@ -118,34 +118,25 @@ DecisionRecord MeasuredCheck(int interval, double observed_rt_ms) {
   return record;
 }
 
-TEST(AttainmentTrackerTest, ChecksFeedRungResidencyAndBaseline) {
+TEST(AttainmentTrackerTest, InBandMeasuredChecksFeedTheBaseline) {
   AttainmentTracker tracker;
   tracker.Enable(true);
 
   tracker.RecordCheck(MeasuredCheck(0, 9.5));
-
-  DecisionRecord slow = MeasuredCheck(1, 15.0);
-  slow.lp_run = true;
-  slow.relaxed_rung = 1;
-  tracker.RecordCheck(slow);
-
-  // A check that exited before measuring (goal_rt stays 0) counts, but
-  // never refreshes the baseline.
+  tracker.RecordCheck(MeasuredCheck(1, 15.0));  // too slow
+  // A check that exited before measuring (goal_rt stays 0) never refreshes
+  // the baseline.
   DecisionRecord unmeasured;
   unmeasured.klass = 1;
   tracker.RecordCheck(unmeasured);
 
-  const AttainmentTracker::SloState& state = tracker.slo().at(1);
-  EXPECT_EQ(state.checks, 3u);
-  ASSERT_GE(state.rung_checks.size(), 3u);
-  EXPECT_EQ(state.rung_checks[0], 2u);  // unrelaxed checks
-  EXPECT_EQ(state.rung_checks[2], 1u);  // rung-1 check
   // Only the in-band check refreshed the converged baseline.
+  const AttainmentTracker::SloState& state = tracker.slo().at(1);
   ASSERT_EQ(state.baseline_rts.size(), 1u);
   EXPECT_EQ(state.baseline_rts.front(), 9.5);
 }
 
-TEST(AttainmentTrackerTest, MissCardJoinsBudgetBaselineAndFaults) {
+TEST(AttainmentTrackerTest, MissCardJoinsBudgetAndBaselineInTheRecord) {
   AttainmentTracker tracker;
   tracker.Enable(true);
 
@@ -158,63 +149,48 @@ TEST(AttainmentTrackerTest, MissCardJoinsBudgetBaselineAndFaults) {
 
   tracker.RecordCheck(MeasuredCheck(0, 8.0));
 
-  AttainmentTracker::FaultState faults;
-  faults.nodes_down = 1;
-  faults.partitioned = true;
-  faults.partition_epoch = 3;
-  faults.corruptions_since_last_check = 2;
   DecisionRecord record = MeasuredCheck(1, 14.0);
-  tracker.RecordMiss(&record, faults);
-  ASSERT_EQ(tracker.cards().size(), 1u);
-  const AttainmentTracker::MissCard& card = tracker.cards()[0];
-  EXPECT_EQ(card.interval, 1);
-  EXPECT_EQ(card.sim_time_ms, 5001.0);
-  EXPECT_EQ(card.observed_rt_ms, 14.0);
-  EXPECT_EQ(card.goal_rt_ms, 10.0);
-  EXPECT_EQ(card.tolerance_ms, 1.0);
-  EXPECT_EQ(card.dominant_phase, BudgetPhase::kDiskWait);
-  EXPECT_DOUBLE_EQ(card.dominant_ms, 6.0);
-  EXPECT_DOUBLE_EQ(card.baseline_rt_ms, 8.0);
-  EXPECT_DOUBLE_EQ(card.deviation_ms, 6.0);
-  EXPECT_EQ(card.nodes_down, 1u);
-  EXPECT_TRUE(card.partitioned);
-  EXPECT_EQ(card.partition_epoch, 3u);
-  EXPECT_EQ(card.corruptions, 2u);
-  EXPECT_FALSE(card.lp_run);
-
-  // The card is written into the record once, at detection.
+  tracker.RecordMiss(&record);
   EXPECT_TRUE(record.miss_card);
   EXPECT_EQ(record.miss_dominant_phase, "disk_wait");
-  EXPECT_EQ(record.miss_dominant_ms, card.dominant_ms);
+  EXPECT_EQ(record.miss_dominant_ms, 6.0);
   ASSERT_EQ(record.miss_phase_ms.size(),
             static_cast<size_t>(kNumBudgetPhases));
   EXPECT_EQ(record.miss_phase_ms[static_cast<int>(BudgetPhase::kDiskWait)],
             6.0);
-  EXPECT_EQ(record.miss_baseline_rt, card.baseline_rt_ms);
-  EXPECT_EQ(record.miss_deviation_ms, card.deviation_ms);
-  EXPECT_EQ(record.miss_nodes_down, 1u);
-  EXPECT_EQ(record.miss_nodes_degraded, 0u);
-  EXPECT_TRUE(record.miss_partitioned);
-  EXPECT_EQ(record.miss_corruptions, 2u);
+  EXPECT_EQ(record.miss_phase_ms[static_cast<int>(BudgetPhase::kCpuService)],
+            1.0);
+  EXPECT_EQ(record.miss_phase_ms[static_cast<int>(BudgetPhase::kResidual)],
+            1.0);
+  EXPECT_EQ(record.miss_baseline_rt, 8.0);
+  EXPECT_EQ(record.miss_deviation_ms, 6.0);
+  // The fault snapshot is the controller's to write.
+  EXPECT_EQ(record.miss_nodes_down, 0u);
+  EXPECT_FALSE(record.miss_partitioned);
+  EXPECT_EQ(record.miss_corruptions, 0u);
 
-  // The LP outcome reaches the card when the check reports its record.
-  record.lp_run = true;
-  record.lp_mode = "goal_relaxed";
-  record.relaxed_rung = 1;
-  tracker.RecordCheck(record);
-  EXPECT_TRUE(card.lp_run);
-  EXPECT_EQ(card.lp_mode, "goal_relaxed");
-  EXPECT_EQ(card.relaxed_rung, 1);
+  // The summary counts read the card once.
+  EXPECT_EQ(tracker.misses_recorded(), 1u);
+  const AttainmentTracker::SloState& state = tracker.slo().at(1);
+  EXPECT_EQ(state.miss_phases[static_cast<int>(BudgetPhase::kDiskWait)], 1u);
 }
 
-TEST(AttainmentTrackerTest, NoteCorruptionsReturnsDeltaSinceLastCheck) {
+TEST(AttainmentTrackerTest, MissCardWithoutBudgetNamesTheResidual) {
   AttainmentTracker tracker;
   tracker.Enable(true);
-  EXPECT_EQ(tracker.NoteCorruptions(1, 5), 5u);
-  EXPECT_EQ(tracker.NoteCorruptions(1, 7), 2u);
-  EXPECT_EQ(tracker.NoteCorruptions(1, 7), 0u);
-  // A non-monotonic mirror clamps instead of underflowing.
-  EXPECT_EQ(tracker.NoteCorruptions(1, 3), 0u);
+  DecisionRecord record = MeasuredCheck(0, 14.0);
+  tracker.RecordMiss(&record);
+  EXPECT_TRUE(record.miss_card);
+  EXPECT_EQ(record.miss_dominant_phase, "residual");
+  EXPECT_EQ(record.miss_dominant_ms, 0.0);
+  EXPECT_EQ(record.miss_phase_ms,
+            std::vector<double>(static_cast<size_t>(kNumBudgetPhases), 0.0));
+  // No satisfied check yet: the baseline is 0 and the deviation the RT.
+  EXPECT_EQ(record.miss_baseline_rt, 0.0);
+  EXPECT_EQ(record.miss_deviation_ms, 14.0);
+  EXPECT_EQ(tracker.slo().at(1).miss_phases[static_cast<int>(
+                BudgetPhase::kResidual)],
+            1u);
 }
 
 TEST(AttainmentTrackerTest, DisabledTrackerIsInert) {
@@ -316,7 +292,7 @@ TEST(AttainmentIntegrationTest, AttachedDisabledTrackerRecordsNothing) {
   system->RunIntervals(8);
   EXPECT_EQ(tracker.requests_recorded(), 0u);
   EXPECT_TRUE(tracker.rows().empty());
-  EXPECT_TRUE(tracker.cards().empty());
+  EXPECT_EQ(tracker.misses_recorded(), 0u);
 }
 
 // -- Miss-card decision records ----------------------------------------------

@@ -1,13 +1,17 @@
-// attainment_report — renders a memgoal_sim --attainment-out JSONL file as
-// a per-class markdown summary (CI uploads the result as a workflow
-// artifact next to the raw JSONL).
+// attainment_report — renders a memgoal_sim --attainment-out JSONL file,
+// and optionally the same run's --decision-log, as a per-class markdown
+// summary (CI uploads the result as a workflow artifact next to the raw
+// JSONL).
 //
-//   attainment_report attainment.jsonl > attainment.md
+//   attainment_report attainment.jsonl [decisions.jsonl] > attainment.md
 //
-// Input: one JSON object per line; "type":"budget" rows carry the
-// per-(class, node, interval) response-time budget decomposition,
-// "type":"miss_card" rows the goal-miss root-cause cards. The parser here
-// is deliberately minimal — it only consumes what AttainmentTracker emits.
+// Input: one JSON object per line. The attainment file's "type":"budget"
+// rows carry the per-(class, node, interval) response-time budget
+// decomposition; the decision log's records with "miss_card":true carry
+// the goal-miss root-cause cards, counted per class and dominant phase
+// (without a decision log every class reads 0 misses). The parser here is
+// deliberately minimal — it only consumes what AttainmentTracker and
+// DecisionRecord emit.
 
 #include <cinttypes>
 #include <cmath>
@@ -30,9 +34,9 @@ using memgoal::obs::BudgetPhaseName;
 using memgoal::obs::kNumBudgetPhases;
 
 // Finds `"key":` in `line` and parses the value as a double. Returns false
-// when the key is absent. Sufficient for AttainmentTracker's flat output
-// (no nested objects, keys never appear inside string values except
-// dominant_phase/lp_mode, which we parse as strings).
+// when the key is absent. Sufficient for the flat objects both inputs hold
+// (no nested objects, and string values are enum-like names that never
+// contain a quoted key).
 bool FindNumber(const std::string& line, const char* key, double* out) {
   std::string needle = "\"";
   needle += key;
@@ -67,66 +71,74 @@ struct ClassTotals {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: %s <attainment.jsonl>\n", argv[0]);
-    return 1;
-  }
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", argv[1]);
+  if (argc != 2 && argc != 3) {
+    std::fprintf(stderr, "usage: %s <attainment.jsonl> [decisions.jsonl]\n",
+                 argv[0]);
     return 1;
   }
 
   std::map<uint32_t, ClassTotals> classes;
   int intervals = 0;
-  std::string line;
-  int line_no = 0;
-  // Integer fields are read as doubles and cast: a value the cast cannot
-  // represent is an input error, not undefined behaviour.
-  const auto count = [&](const char* key, double max,
-                         std::optional<uint64_t>* out) {
-    double value = 0.0;
-    if (!FindNumber(line, key, &value)) return true;
-    if (!std::isfinite(value) || value < 0.0 || value > max) {
-      std::fprintf(stderr,
-                   "error: %s:%d: \"%s\" is not a number in [0, %.0f]\n",
-                   argv[1], line_no, key, max);
-      return false;
-    }
-    *out = static_cast<uint64_t>(value);
-    return true;
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::optional<uint64_t> klass, interval, requests;
-    // The interval bound leaves room for the count of intervals below; up
-    // to 2^53 every request count is exact in the double it was read as.
-    if (!count("class", UINT32_MAX, &klass) ||
-        !count("interval", INT32_MAX - 1, &interval) ||
-        !count("requests", 0x1p53, &requests)) {
+  // argv[1] holds the budget rows, argv[2] (a decision log) the miss cards.
+  for (int arg = 1; arg < argc; ++arg) {
+    const bool decisions = arg == 2;
+    std::ifstream in(argv[arg]);
+    if (!in) {
+      std::fprintf(stderr, "error: cannot open %s\n", argv[arg]);
       return 1;
     }
-    if (!klass.has_value()) continue;
-    ClassTotals& totals = classes[static_cast<uint32_t>(*klass)];
-    if (line.find("\"type\":\"budget\"") != std::string::npos) {
-      if (interval.has_value() &&
-          static_cast<int>(*interval) + 1 > intervals) {
-        intervals = static_cast<int>(*interval) + 1;
-      }
-      if (requests.has_value()) totals.requests += *requests;
+    std::string line;
+    int line_no = 0;
+    // Integer fields are read as doubles and cast: a value the cast cannot
+    // represent is an input error, not undefined behaviour.
+    const auto count = [&](const char* key, double max,
+                           std::optional<uint64_t>* out) {
       double value = 0.0;
-      if (FindNumber(line, "rt_sum_ms", &value)) totals.rt_sum_ms += value;
-      for (int i = 0; i < kNumBudgetPhases; ++i) {
-        char key[48];
-        std::snprintf(key, sizeof(key), "%s_ms",
-                      BudgetPhaseName(static_cast<BudgetPhase>(i)));
-        if (FindNumber(line, key, &value)) totals.phase_ms[i] += value;
+      if (!FindNumber(line, key, &value)) return true;
+      if (!std::isfinite(value) || value < 0.0 || value > max) {
+        std::fprintf(stderr,
+                     "error: %s:%d: \"%s\" is not a number in [0, %.0f]\n",
+                     argv[arg], line_no, key, max);
+        return false;
       }
-    } else if (line.find("\"type\":\"miss_card\"") != std::string::npos) {
-      ++totals.miss_cards;
-      std::string dominant;
-      if (FindString(line, "dominant_phase", &dominant)) {
-        ++totals.miss_dominants[dominant];
+      *out = static_cast<uint64_t>(value);
+      return true;
+    };
+    while (std::getline(in, line)) {
+      ++line_no;
+      std::optional<uint64_t> klass, interval, requests;
+      // The interval bound leaves room for the count of intervals below; up
+      // to 2^53 every request count is exact in the double it was read as.
+      if (!count("class", UINT32_MAX, &klass) ||
+          !count("interval", INT32_MAX - 1, &interval) ||
+          !count("requests", 0x1p53, &requests)) {
+        return 1;
+      }
+      if (!klass.has_value()) continue;
+      if (decisions && line.find("\"miss_card\":true") == std::string::npos) {
+        continue;  // a record without a card adds no class row
+      }
+      ClassTotals& totals = classes[static_cast<uint32_t>(*klass)];
+      if (decisions) {
+        ++totals.miss_cards;
+        std::string dominant;
+        if (FindString(line, "miss_dominant_phase", &dominant)) {
+          ++totals.miss_dominants[dominant];
+        }
+      } else if (line.find("\"type\":\"budget\"") != std::string::npos) {
+        if (interval.has_value() &&
+            static_cast<int>(*interval) + 1 > intervals) {
+          intervals = static_cast<int>(*interval) + 1;
+        }
+        if (requests.has_value()) totals.requests += *requests;
+        double value = 0.0;
+        if (FindNumber(line, "rt_sum_ms", &value)) totals.rt_sum_ms += value;
+        for (int i = 0; i < kNumBudgetPhases; ++i) {
+          char key[48];
+          std::snprintf(key, sizeof(key), "%s_ms",
+                        BudgetPhaseName(static_cast<BudgetPhase>(i)));
+          if (FindNumber(line, key, &value)) totals.phase_ms[i] += value;
+        }
       }
     }
   }

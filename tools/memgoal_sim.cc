@@ -69,17 +69,18 @@
 //                                      per coordinator check
 //   obs_csv, obs_jsonl               — metrics-registry snapshot history
 //   attainment_out                   — per-(class, node, interval) response
-//                                      time budget rows + goal-miss root
-//                                      cause cards; ".csv" suffix selects
-//                                      CSV (budget rows only), anything
-//                                      else JSONL
+//                                      time budget rows; ".csv" suffix
+//                                      selects CSV, anything else JSONL
+//                                      (goal-miss root-cause cards live in
+//                                      the decision log's records)
 //   profile_out                      — hot-path wall-clock profile as JSON
 //   profile_folded                   — same profile as folded stacks
 //                                      (flamegraph.pl / speedscope input)
 //
-// All observability sinks are also flushed from a signal handler on
-// abnormal exit (MEMGOAL_CHECK abort, SIGINT, SIGTERM), so a truncated run
-// still yields parseable files of complete records.
+// The trace, decision log, metrics and attainment outputs are also flushed
+// from a signal handler on abnormal exit (MEMGOAL_CHECK abort, SIGINT,
+// SIGTERM), so a truncated run still yields parseable files of complete
+// records. The two profile outputs are written only by a finished run.
 //
 // Example scenario file: see tools/scenarios/base.conf.
 
@@ -87,6 +88,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -112,58 +114,6 @@ bool EndsWithCsv(const std::string& path) {
          path.compare(path.size() - 4, 4, ".csv") == 0;
 }
 
-/// Emergency flush state: every configured observability sink, flushable
-/// exactly once. Armed while the simulation runs; a MEMGOAL_CHECK abort (or
-/// SIGINT/SIGTERM) lands in FlushSinksOnSignal, which writes whatever the
-/// run produced so far — each Write* emits only complete records, so a
-/// truncated run still yields parseable files. The simulator is
-/// single-threaded and the crash is synchronous, which is what makes the
-/// stdio calls here safe in practice despite signal-safety rules.
-struct EmergencySinks {
-  std::string trace_path;
-  std::string decision_path;
-  std::string obs_csv_path;
-  std::string obs_jsonl_path;
-  std::string attainment_path;
-  memgoal::obs::Tracer* tracer = nullptr;
-  memgoal::obs::DecisionLog* decision_log = nullptr;
-  memgoal::obs::Registry* registry = nullptr;
-  memgoal::obs::AttainmentTracker* attainment = nullptr;
-  bool armed = false;
-  bool flushed = false;
-
-  void Flush() {
-    if (!armed || flushed) return;
-    flushed = true;
-    const auto write = [](const std::string& path, auto&& writer) {
-      if (path.empty()) return;
-      std::FILE* file = std::fopen(path.c_str(), "w");
-      if (file == nullptr) return;
-      writer(file);
-      std::fclose(file);
-    };
-    write(trace_path, [&](std::FILE* f) { tracer->WriteJson(f); });
-    write(decision_path, [&](std::FILE* f) { decision_log->WriteJsonl(f); });
-    write(obs_csv_path, [&](std::FILE* f) { registry->WriteCsv(f); });
-    write(obs_jsonl_path, [&](std::FILE* f) { registry->WriteJsonl(f); });
-    write(attainment_path, [&](std::FILE* f) {
-      if (EndsWithCsv(attainment_path)) {
-        attainment->WriteCsv(f);
-      } else {
-        attainment->WriteJsonl(f);
-      }
-    });
-  }
-};
-
-EmergencySinks g_emergency_sinks;
-
-extern "C" void FlushSinksOnSignal(int sig) {
-  g_emergency_sinks.Flush();
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
 // Writes `writer(file)` to `path`; returns false (with a message) on I/O
 // failure so a bad path fails the run visibly instead of silently.
 template <typename Writer>
@@ -177,6 +127,42 @@ bool WriteFileOrComplain(const std::string& path, const char* what,
   writer(file);
   std::fclose(file);
   return true;
+}
+
+/// One observability output: its path ("" when off), what it holds (for
+/// the error message) and how to write it.
+struct Sink {
+  std::string path;
+  const char* what;
+  std::function<void(std::FILE*)> write;
+};
+
+/// Writes every sink that has a path; false when any write failed.
+bool WriteSinks(const std::vector<Sink>& sinks) {
+  bool ok = true;
+  for (const Sink& sink : sinks) {
+    if (!sink.path.empty()) {
+      ok &= WriteFileOrComplain(sink.path, sink.what, sink.write);
+    }
+  }
+  return ok;
+}
+
+/// Emergency flush: the sinks of the running simulation, armed while it
+/// runs. A MEMGOAL_CHECK abort (or SIGINT/SIGTERM) lands in
+/// FlushSinksOnSignal, which writes them once with whatever the run
+/// produced so far — each writer emits only complete records, so a
+/// truncated run still yields parseable files. The simulator is
+/// single-threaded and the crash is synchronous, which is what makes the
+/// stdio calls here safe in practice despite signal-safety rules.
+const std::vector<Sink>* g_emergency_sinks = nullptr;
+
+extern "C" void FlushSinksOnSignal(int sig) {
+  const std::vector<Sink>* sinks = g_emergency_sinks;
+  g_emergency_sinks = nullptr;
+  if (sinks != nullptr) WriteSinks(*sinks);
+  std::signal(sig, SIG_DFL);
+  std::raise(sig);
 }
 
 int Run(memgoal::common::Config& config) {
@@ -206,8 +192,6 @@ int Run(memgoal::common::Config& config) {
 
   const std::string trace_path = config.GetString("trace_out", "");
   const std::string decision_path = config.GetString("decision_log", "");
-  const std::string obs_csv_path = config.GetString("obs_csv", "");
-  const std::string obs_jsonl_path = config.GetString("obs_jsonl", "");
   const std::string attainment_path = config.GetString("attainment_out", "");
   const std::string profile_path = config.GetString("profile_out", "");
   const std::string profile_folded_path =
@@ -216,6 +200,25 @@ int Run(memgoal::common::Config& config) {
   memgoal::obs::DecisionLog decision_log;
   memgoal::obs::AttainmentTracker attainment;
   memgoal::obs::Profiler profiler;
+  // Written at the end of the run, or by the signal handler on an abnormal
+  // exit.
+  const std::vector<Sink> sinks = {
+      {trace_path, "trace", [&](std::FILE* f) { tracer.WriteJson(f); }},
+      {decision_path, "decision log",
+       [&](std::FILE* f) { decision_log.WriteJsonl(f); }},
+      {config.GetString("obs_csv", ""), "metrics CSV",
+       [&](std::FILE* f) { system.registry().WriteCsv(f); }},
+      {config.GetString("obs_jsonl", ""), "metrics JSONL",
+       [&](std::FILE* f) { system.registry().WriteJsonl(f); }},
+      {attainment_path, "attainment report",
+       [&, csv = EndsWithCsv(attainment_path)](std::FILE* f) {
+         if (csv) {
+           attainment.WriteCsv(f);
+         } else {
+           attainment.WriteJsonl(f);
+         }
+       }},
+  };
   std::optional<memgoal::obs::Profiler::ScopedInstall> profile_install;
   if (!trace_path.empty()) {
     tracer.Enable(true);
@@ -240,22 +243,9 @@ int Run(memgoal::common::Config& config) {
     return 1;
   }
 
-  // Arm the abnormal-exit sink flush for the duration of this call (the
-  // sinks are Run()-locals, so the guard disarms before they go away).
-  g_emergency_sinks.trace_path = trace_path;
-  g_emergency_sinks.decision_path = decision_path;
-  g_emergency_sinks.obs_csv_path = obs_csv_path;
-  g_emergency_sinks.obs_jsonl_path = obs_jsonl_path;
-  g_emergency_sinks.attainment_path = attainment_path;
-  g_emergency_sinks.tracer = &tracer;
-  g_emergency_sinks.decision_log = &decision_log;
-  g_emergency_sinks.registry = &system.registry();
-  g_emergency_sinks.attainment = &attainment;
-  g_emergency_sinks.armed = true;
-  g_emergency_sinks.flushed = false;
-  struct EmergencyDisarm {
-    ~EmergencyDisarm() { g_emergency_sinks = EmergencySinks{}; }
-  } emergency_disarm;
+  // Arm the abnormal-exit sink flush until the normal path has written the
+  // sinks (they are Run()-locals).
+  g_emergency_sinks = &sinks;
   std::signal(SIGABRT, FlushSinksOnSignal);
   std::signal(SIGINT, FlushSinksOnSignal);
   std::signal(SIGTERM, FlushSinksOnSignal);
@@ -270,50 +260,23 @@ int Run(memgoal::common::Config& config) {
   profile_install.reset();
   system.metrics().WriteCsv(stdout);
 
-  bool obs_ok = true;
+  bool obs_ok = WriteSinks(sinks);
+  g_emergency_sinks = nullptr;
   if (!trace_path.empty()) {
-    obs_ok &= WriteFileOrComplain(trace_path, "trace", [&](std::FILE* f) {
-      tracer.WriteJson(f);
-    });
     std::fprintf(stderr, "# trace: %zu events -> %s\n", tracer.size(),
                  trace_path.c_str());
   }
   if (!decision_path.empty()) {
-    obs_ok &=
-        WriteFileOrComplain(decision_path, "decision log", [&](std::FILE* f) {
-          decision_log.WriteJsonl(f);
-        });
     std::fprintf(stderr, "# decision log: %zu records -> %s\n",
                  decision_log.size(), decision_path.c_str());
   }
-  if (!obs_csv_path.empty()) {
-    obs_ok &=
-        WriteFileOrComplain(obs_csv_path, "metrics CSV", [&](std::FILE* f) {
-          system.registry().WriteCsv(f);
-        });
-  }
-  if (!obs_jsonl_path.empty()) {
-    obs_ok &=
-        WriteFileOrComplain(obs_jsonl_path, "metrics JSONL", [&](std::FILE* f) {
-          system.registry().WriteJsonl(f);
-        });
-  }
   if (!attainment_path.empty()) {
-    obs_ok &= WriteFileOrComplain(
-        attainment_path, "attainment report", [&](std::FILE* f) {
-          if (EndsWithCsv(attainment_path)) {
-            attainment.WriteCsv(f);
-          } else {
-            attainment.WriteJsonl(f);
-          }
-        });
     std::fprintf(stderr,
-                 "# attainment: %zu budget rows, %zu miss cards -> %s\n",
-                 attainment.rows().size(), attainment.cards().size(),
+                 "# attainment: %zu budget rows, %llu miss cards -> %s\n",
+                 attainment.rows().size(),
+                 static_cast<unsigned long long>(attainment.misses_recorded()),
                  attainment_path.c_str());
   }
-  // The normal-path writes above supersede the emergency flush.
-  g_emergency_sinks.flushed = true;
   if (!profile_path.empty()) {
     obs_ok &= WriteFileOrComplain(profile_path, "profile", [&](std::FILE* f) {
       std::string json;
